@@ -14,11 +14,12 @@ let format_magic = "ddsim-checkpoint"
    the strategy and rng lines, and the stats line gained the four
    reordering counters (reorders_run, reorder_swaps,
    reorder_nodes_before, reorder_nodes_after);
-   version 7: the stats line gained domains (the [--domains] pool size,
-   so a resumed run keeps its parallelism).
+   version 7: the stats line gained domains, the size of a worker pool
+   the engine no longer has; writers store the constant 1 and readers
+   check the field is >= 1, then drop it.
    Readers accept 2 through 7: fields a version did not carry restore
-   as zero (domains as 1, the order as identity), and the trailer is
-   verified when present (required from version 5 on). *)
+   as zero (the order as identity), and the trailer is verified when
+   present (required from version 5 on). *)
 let format_version = 7
 
 let oldest_readable_version = 2
@@ -91,7 +92,7 @@ let to_string checkpoint =
           stats.Sim_stats.audit_violations stats.Sim_stats.audit_repairs
           stats.Sim_stats.reorders_run stats.Sim_stats.reorder_swaps
           stats.Sim_stats.reorder_nodes_before
-          stats.Sim_stats.reorder_nodes_after stats.Sim_stats.domains;
+          stats.Sim_stats.reorder_nodes_after 1;
         "state";
         Dd.Serialize.vector_to_string checkpoint.state;
       ]
@@ -238,7 +239,6 @@ let of_string context ?(source = "<string>") text =
       stats_record.Sim_stats.reorder_swaps <- stats_int rs;
       stats_record.Sim_stats.reorder_nodes_before <- stats_int rb;
       stats_record.Sim_stats.reorder_nodes_after <- stats_int ra
-      (* v6 predates the domains field; Sim_stats.create defaults it to 1 *)
     | ( 7,
         [ mv; mm; gs; ca; ps; pm; fb; gc; rn; cw; fp; ga; gr; gp; td; wt;
           au; av; ar; rr; rs; rb; ra; dm ] ) ->
@@ -252,9 +252,7 @@ let of_string context ?(source = "<string>") text =
       stats_record.Sim_stats.reorder_swaps <- stats_int rs;
       stats_record.Sim_stats.reorder_nodes_before <- stats_int rb;
       stats_record.Sim_stats.reorder_nodes_after <- stats_int ra;
-      stats_record.Sim_stats.domains <- stats_int dm;
-      if stats_record.Sim_stats.domains < 1 then
-        invalid ~source "domains must be >= 1"
+      if stats_int dm < 1 then invalid ~source "domains must be >= 1"
     | 2, _ -> invalid ~source "stats line must carry exactly 12 fields"
     | 3, _ -> invalid ~source "stats line must carry exactly 14 fields"
     | 4, _ -> invalid ~source "stats line must carry exactly 16 fields"

@@ -33,10 +33,6 @@ type t = {
      and one branch per applied gate *)
   mutable reorder_policy : reorder_policy;
   mutable bulge_factor : float;
-  (* domain-pool size for parallel window products and multi-shot
-     sampling; 1 (the default) keeps every legacy sequential code path —
-     no pool, no locks, bitwise-identical results *)
-  mutable domains : int;
   (* minimum applied-gate gap between bulge probes (each probe walks the
      state DD to count nodes per level, so it must not run every gate) *)
   mutable reorder_every : int;
@@ -69,7 +65,6 @@ let create ?(seed = 0xDD) ?context n =
     last_audit = 0;
     reorder_policy = Reorder_off;
     bulge_factor = 4.0;
-    domains = 1;
     reorder_every = 64;
     last_reorder = 0;
     reorder_done = false;
@@ -104,15 +99,6 @@ let reset engine =
 let set_track_peaks engine flag = engine.track_peaks <- flag
 let set_fused_apply engine flag = engine.fused_apply <- flag
 let fused_apply engine = engine.fused_apply
-
-let set_domains engine d =
-  if d < 1 then
-    Error.invalid_parameter ~what:"Engine.set_domains"
-      (Printf.sprintf "need at least one domain (got %d)" d);
-  engine.domains <- d;
-  engine.stats.domains <- d
-
-let domains engine = engine.domains
 
 let set_trace engine trace =
   engine.trace <- trace;
@@ -472,138 +458,6 @@ let combine engine gates =
       (fun product gate -> multiply_onto engine (gate_dd engine gate) product)
       (gate_dd engine first) rest
 
-(* Tree-reduce a window of gate DDs (newest first: [m_p; ...; m_1]) into
-   the product m_p x ... x m_1 across the pool.  Each round pairs
-   consecutive matrices — association changes, operand order (and hence
-   the product) does not.  The final two-element round goes through
-   [Mdd.mul_par], which additionally scatters its eight top-level inner
-   products, so the reduction's last — largest — multiplication is not a
-   single-domain bottleneck.  The shared tables are armed for concurrent
-   interning for the duration; stats stay main-domain-only (workers run
-   pure [Mdd.mul]).  A task that raises surfaces as a structured
-   {!Error.Worker_failure}; worker domains themselves never die. *)
-(* Fold a pool's utilization counters into the run stats — call only at
-   quiescence, just before the pool is shut down.  Idle time is the crew
-   capacity inside pool sections not spent running tasks (waiting on the
-   scatter cursor or on stragglers), clamped at zero against clock
-   jitter. *)
-let absorb_pool_stats engine pool =
-  let s = Domain_pool.stats pool in
-  let crew = Domain_pool.size pool in
-  let busy = Array.fold_left ( +. ) 0. s.Domain_pool.worker_busy_seconds in
-  let tasks = Array.fold_left ( + ) 0 s.Domain_pool.worker_tasks in
-  let stats = engine.stats in
-  stats.pool_batches <- stats.pool_batches + s.Domain_pool.batches;
-  stats.pool_tasks <- stats.pool_tasks + tasks;
-  stats.pool_busy_seconds <- stats.pool_busy_seconds +. busy;
-  stats.pool_idle_seconds <-
-    stats.pool_idle_seconds
-    +. Float.max 0.
-         ((s.Domain_pool.section_seconds *. float_of_int crew) -. busy);
-  stats.pool_section_seconds <-
-    stats.pool_section_seconds +. s.Domain_pool.section_seconds
-
-let reduce_window engine pool mats =
-  let ctx = engine.context in
-  let trace = engine.trace in
-  let traced = Obs.Trace.is_on trace in
-  let value = function
-    | Ok v -> v
-    | Error e ->
-      Error.raise_error
-        (Error.Worker_failure
-           { task = "window product"; message = Printexc.to_string e })
-  in
-  (* Worker-side tracing: each task logs its multiplication as a
-     [Mat_mat] span on the executing crew member's private lane
-     (including the caller, lane 0), so nothing touches the shared
-     buffer until [merge_lanes] below runs at quiescence. *)
-  let task_mul detail a b () =
-    if not traced then Dd.Mdd.mul ctx a b
-    else begin
-      let lane = Obs.Trace.lane trace (Domain_pool.self_index ()) in
-      let t0 = Obs.Trace.now lane in
-      let r = Dd.Mdd.mul ctx a b in
-      Obs.Trace.span lane Obs.Trace.Mat_mat ~t0 ~gate:(Obs.Trace.gate lane)
-        ~state_nodes:(-1)
-        ~matrix_nodes:(Dd.Mdd.node_count r)
-        ~hits:0 ~misses:0 ~detail;
-      r
-    end
-  in
-  let par thunks =
-    let thunks =
-      if not traced then thunks
-      else
-        Array.map
-          (fun thunk () ->
-            let lane = Obs.Trace.lane trace (Domain_pool.self_index ()) in
-            let t0 = Obs.Trace.now lane in
-            let r = thunk () in
-            Obs.Trace.span lane Obs.Trace.Mat_mat ~t0
-              ~gate:(Obs.Trace.gate lane) ~state_nodes:(-1) ~matrix_nodes:(-1)
-              ~hits:0 ~misses:0 ~detail:"mul_par inner product";
-            r)
-          thunks
-    in
-    Array.map value (Domain_pool.run_all pool thunks)
-  in
-  if traced then Obs.Trace.arm_lanes trace (Domain_pool.size pool);
-  let section_t0 = if traced then Obs.Trace.now trace else 0. in
-  Dd.Context.set_parallel ctx true;
-  Fun.protect
-    ~finally:(fun () ->
-      Dd.Context.set_parallel ctx false;
-      if traced then begin
-        (* merge before the section span so buffer end times stay
-           monotone: the section ends after every lane event it covers *)
-        Obs.Trace.merge_lanes trace;
-        Obs.Trace.span trace Obs.Trace.Pool_section ~t0:section_t0
-          ~gate:(Obs.Trace.gate trace) ~state_nodes:(-1) ~matrix_nodes:(-1)
-          ~hits:0 ~misses:0
-          ~detail:
-            (Printf.sprintf "window reduce, %d matrices, %d domains"
-               (List.length mats) (Domain_pool.size pool))
-      end)
-    (fun () ->
-      let rec reduce mats =
-        match mats with
-        | [] -> Dd.Mdd.identity ctx engine.n
-        | [ m ] -> m
-        | [ a; b ] ->
-          engine.stats.mat_mat_mults <- engine.stats.mat_mat_mults + 1;
-          Dd.Mdd.mul_par ctx ~par a b
-        | mats ->
-          let arr = Array.of_list mats in
-          let n = Array.length arr in
-          let pairs = n / 2 in
-          let tasks =
-            Array.init pairs (fun i ->
-                task_mul "window pair" arr.(2 * i) arr.((2 * i) + 1))
-          in
-          let products = Array.map value (Domain_pool.run_all pool tasks) in
-          engine.stats.mat_mat_mults <- engine.stats.mat_mat_mults + pairs;
-          let tail = if n land 1 = 1 then [ arr.(n - 1) ] else [] in
-          reduce (Array.to_list products @ tail)
-      in
-      reduce mats)
-
-(* Parallel composition of pre-built operation DDs, in application order
-   (first applied first): returns [m_k x ... x m_1] reduced over a fresh
-   pool of [domains engine] domains.  Exposed for direct use and for
-   fault-injection tests — a worker failure raises the structured
-   {!Error.Worker_failure}, never kills a domain. *)
-let combine_parallel engine mats =
-  match mats with
-  | [] -> Dd.Mdd.identity engine.context engine.n
-  | mats ->
-    let pool = Domain_pool.create ~domains:engine.domains in
-    Fun.protect
-      ~finally:(fun () ->
-        absorb_pool_stats engine pool;
-        Domain_pool.shutdown pool)
-      (fun () -> reduce_window engine pool (List.rev mats))
-
 (* Window-combination driver shared by the k-operations and max-size
    strategies: gates accumulate into a pending product (mat-mat
    multiplications); the product is flushed onto the state (one mat-vec)
@@ -643,27 +497,8 @@ let run ?(strategy = Strategy.Sequential) ?(use_repeating = false)
   let traced = Obs.Trace.is_on trace in
   let profile = engine.profile in
   let run_t0 = Obs.Clock.now () in
-  engine.stats.domains <- engine.domains;
-  let pool =
-    if engine.domains > 1 then
-      Some (Domain_pool.create ~domains:engine.domains)
-    else None
-  in
-  (* Parallel windows need the whole window's gate DDs at once (the tree
-     reduction), which forfeits the per-multiplication matrix-budget
-     check — so a [max_matrix_nodes] guard keeps the sequential
-     accumulate-and-degrade path even when a pool exists. *)
-  let parallel_windows =
-    match (pool, strategy) with
-    | Some _, Strategy.K_operations _ ->
-      guard.Guard.max_matrix_nodes = None
-    | _ -> false
-  in
   let pending = ref None in
   let pending_count = ref 0 in
-  (* parallel-window accumulator (newest first); reduced at flush *)
-  let window = ref [] in
-  let window_count = ref 0 in
   (* gates whose effect is in the state; the resume point of checkpoints *)
   let applied = ref start_gate in
   (* gates seen in application order, for skipping on resume *)
@@ -696,10 +531,7 @@ let run ?(strategy = Strategy.Sequential) ?(use_repeating = false)
       strategy;
       state_nodes = Dd.Vdd.node_count engine.state_edge;
       matrix_nodes =
-        (match !pending with
-        | Some p -> Dd.Mdd.node_count p
-        | None ->
-          List.fold_left (fun acc m -> acc + Dd.Mdd.node_count m) 0 !window);
+        (match !pending with Some p -> Dd.Mdd.node_count p | None -> 0);
     }
   in
   let abort kind ~limit ~actual =
@@ -709,7 +541,6 @@ let run ?(strategy = Strategy.Sequential) ?(use_repeating = false)
   in
   let auto_gc () =
     let m_roots = List.filter_map (fun r -> !r) [ pending; block_root ] in
-    let m_roots = !window @ m_roots in
     let v_removed, m_removed =
       Dd.Context.collect ctx ~v_roots:[ engine.state_edge ] ~m_roots
     in
@@ -810,33 +641,6 @@ let run ?(strategy = Strategy.Sequential) ?(use_repeating = false)
     | None -> "matrix budget"
   in
   let flush () =
-    (match !window with
-    | [] -> ()
-    | mats ->
-      let pool = Option.get pool in
-      let combined = !window_count > 1 in
-      if combined then
-        engine.stats.combined_applications <-
-          engine.stats.combined_applications + 1;
-      let t0 = if traced then Obs.Trace.now trace else 0. in
-      let lt0 = if ledgered then Obs.Clock.now () else 0. in
-      let product = reduce_window engine pool mats in
-      if ledgered then
-        Obs.Ledger.add_build led (Obs.Clock.now () -. lt0);
-      note_matrix_peak engine product;
-      window := [];
-      apply_matrix engine product;
-      if traced && combined then
-        Obs.Trace.span trace Obs.Trace.Window_combined ~t0
-          ~gate:(Obs.Trace.gate trace)
-          ~state_nodes:(Dd.Vdd.node_count engine.state_edge)
-          ~matrix_nodes:(Dd.Mdd.node_count product)
-          ~hits:0 ~misses:0
-          ~detail:
-            (Printf.sprintf "%d gates (parallel, %d domains)" !window_count
-               (Domain_pool.size pool));
-      applied := !applied + !window_count;
-      window_count := 0);
     match !pending with
     | None -> ()
     | Some product ->
@@ -920,20 +724,6 @@ let run ?(strategy = Strategy.Sequential) ?(use_repeating = false)
          ledger samples memory gauges along the way *)
       if ledgered && Obs.Ledger.rotate_due led then led_commit ();
       after_state_update ()
-    | Strategy.K_operations k when parallel_windows ->
-      (* no matrix budget on this path (see [parallel_windows]), so no
-         degradation logic: accumulate gate DDs and tree-reduce at k *)
-      if ledgered then begin
-        if !window_count = 0 then led_open ~seq:false ();
-        Obs.Ledger.add_gates led 1
-      end;
-      window := gate_dd engine gate :: !window;
-      incr window_count;
-      if !window_count >= k then begin
-        flush ();
-        led_commit ()
-      end;
-      if !window_count = 0 then after_state_update ()
     | Strategy.K_operations k ->
       if !fallback_left > 0 then begin
         decr fallback_left;
@@ -1027,18 +817,10 @@ let run ?(strategy = Strategy.Sequential) ?(use_repeating = false)
       Obs.Trace.instant trace Obs.Trace.Gate_applied
         ~gate:(Obs.Trace.gate trace)
         ~state_nodes:
-          (if Option.is_none !pending && !window = [] then
-             Dd.Vdd.node_count engine.state_edge
+          (if Option.is_none !pending then Dd.Vdd.node_count engine.state_edge
            else -1)
         ~matrix_nodes:
-          (match !pending with
-          | Some p -> Dd.Mdd.node_count p
-          | None ->
-            if !window = [] then -1
-            else
-              List.fold_left
-                (fun acc m -> acc + Dd.Mdd.node_count m)
-                0 !window)
+          (match !pending with Some p -> Dd.Mdd.node_count p | None -> -1)
         ~detail:(Gate.name gate)
   in
   let absorb_or_skip gate =
@@ -1114,13 +896,6 @@ let run ?(strategy = Strategy.Sequential) ?(use_repeating = false)
      abort (budget exhaustion raises out of [walk]) *)
   Fun.protect
     ~finally:(fun () ->
-      (* pool teardown before anything else: no leaked domains, and the
-         shared tables are guaranteed quiescent past this point *)
-      (match pool with
-      | Some p ->
-        absorb_pool_stats engine p;
-        Domain_pool.shutdown p
-      | None -> ());
       (* closes the trailing sequential stretch of a normal run and the
          open entry of an aborted one (budget exhaustion raises out of
          [walk]); a no-op when everything already committed *)
@@ -1188,79 +963,20 @@ let measure_all engine =
 let sample engine =
   Dd.Measure.sample engine.context engine.rng_state engine.state_edge
 
-(* Multi-shot sampling with pool-size-independent outcomes: the engine
-   RNG is consumed exactly [shots] times — one derived seed per shot,
-   drawn sequentially — and shot [i] walks the DD under its own
-   [Random.State.make [| seed_i |]].  The outcome array therefore depends
-   only on the engine RNG stream and the state DD, never on how shots
-   were scheduled over domains; [--domains 1] and [--domains 4] agree
-   exactly.  (The per-shot walk only reads the DD and memoises subtree
-   norms in the context's norm table — float results, identical from
-   every shot, so racy table traffic is harmless and locked anyway.) *)
+(* Multi-shot sampling: the engine RNG is consumed exactly [shots] times
+   — one derived seed per shot, drawn sequentially — and shot [i] walks
+   the DD under its own [Random.State.make [| seed_i |]], so the outcome
+   array depends only on the engine RNG stream and the state DD. *)
 let sample_shots engine shots =
   if shots < 0 then
     Error.invalid_parameter ~what:"Engine.sample_shots"
       (Printf.sprintf "shots must be >= 0 (got %d)" shots);
-  let seeds = Array.make (max shots 1) 0 in
-  for i = 0 to shots - 1 do
-    seeds.(i) <- Random.State.bits engine.rng_state
-  done;
-  let ctx = engine.context and state = engine.state_edge in
-  let run_shot seed =
-    Dd.Measure.sample ctx (Random.State.make [| seed |]) state
-  in
-  if shots = 0 then [||]
-  else if engine.domains <= 1 || shots = 1 then
-    Array.init shots (fun i -> run_shot seeds.(i))
-  else begin
-    let pool = Domain_pool.create ~domains:(min engine.domains shots) in
-    let trace = engine.trace in
-    let traced = Obs.Trace.is_on trace in
-    if traced then Obs.Trace.arm_lanes trace (Domain_pool.size pool);
-    let section_t0 = if traced then Obs.Trace.now trace else 0. in
-    Fun.protect
-      ~finally:(fun () ->
-        absorb_pool_stats engine pool;
-        Domain_pool.shutdown pool;
-        Dd.Context.set_parallel ctx false;
-        if traced then begin
-          Obs.Trace.merge_lanes trace;
-          Obs.Trace.span trace Obs.Trace.Pool_section ~t0:section_t0
-            ~gate:(Obs.Trace.gate trace) ~state_nodes:(-1) ~matrix_nodes:(-1)
-            ~hits:0 ~misses:0
-            ~detail:
-              (Printf.sprintf "multi-shot sampling, %d shots, %d domains"
-                 shots (Domain_pool.size pool))
-        end)
-      (fun () ->
-        Dd.Context.set_parallel ctx true;
-        let thunks =
-          if not traced then
-            Array.init shots (fun i () -> run_shot seeds.(i))
-          else
-            Array.init shots (fun i () ->
-                let lane =
-                  Obs.Trace.lane trace (Domain_pool.self_index ())
-                in
-                let t0 = Obs.Trace.now lane in
-                let outcome = run_shot seeds.(i) in
-                Obs.Trace.span lane Obs.Trace.Measure ~t0 ~gate:(-1)
-                  ~state_nodes:(-1) ~matrix_nodes:(-1) ~hits:0 ~misses:0
-                  ~detail:(Printf.sprintf "shot %d" i);
-                outcome)
-        in
-        Array.map
-          (function
-            | Ok outcome -> outcome
-            | Error e ->
-              Error.raise_error
-                (Error.Worker_failure
-                   {
-                     task = "multi-shot sampling";
-                     message = Printexc.to_string e;
-                   }))
-          (Domain_pool.run_all pool thunks))
-  end
+  let seeds = Array.init shots (fun _ -> Random.State.bits engine.rng_state) in
+  Array.map
+    (fun seed ->
+      Dd.Measure.sample engine.context (Random.State.make [| seed |])
+        engine.state_edge)
+    seeds
 
 let fidelity_dense engine reference =
   if Array.length reference <> 1 lsl engine.n then

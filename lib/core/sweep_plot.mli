@@ -15,8 +15,8 @@ val render :
     points are skipped. *)
 
 val parse_sweep_table : header:string -> string -> series list
-(** Extract a sweep table from benchmark-harness output ([bench_output.txt]
-    style): [header] identifies the section (e.g. ["Fig. 8"]); rows with
+(** Extract a sweep table from benchmark-harness output (e.g. the
+    stdout of [dune exec bench/main.exe -- fig9]): [header] identifies the section (e.g. ["Fig. 8"]); rows with
     [-] entries (skipped points) are omitted from the affected series.
     Returns the benchmark series plus the ["average"] series.  Raises
     [Not_found] if the section is absent. *)

@@ -7,17 +7,7 @@
    bounds the memory of a long run, removes rehash pauses from the hot
    path, and makes a lookup one multiply-shift index plus a full key
    comparison — a collision can therefore never return the value of a
-   different key, it only reads as a miss.
-
-   Cross-domain sharing ([set_parallel]): a slot's three key words and its
-   value are written non-atomically, so an unguarded racing reader could
-   match the keys of one store against the value of another.  When the
-   parallel flag is armed, [find] and [store] take a per-slot-group mutex
-   (64 lock stripes indexed by low slot bits) — entries stay lossy memo
-   hints, but a hit is always the value that was stored with its key.
-   Counters are [Atomic.t] so they stay coherent without widening the
-   critical section; [sweep]/[clear]/[iter] run only while the domain
-   pool is quiescent and take no locks. *)
+   different key, it only reads as a miss. *)
 
 type 'v t = {
   name : string;
@@ -29,34 +19,14 @@ type 'v t = {
   k3 : int array;
   value : 'v array;
   stamp : int array;  (* generation the entry was written / last validated *)
-  locks : Mutex.t array;
-  lock_acquisitions : int array;
-  lock_contended : int array;
-  lock_wait : float array;
-  lock_wait_buckets : int array array;
-  mutable parallel : bool;
-  entries : int Atomic.t;
+  mutable entries : int;
   mutable generation : int;
-  lookups : int Atomic.t;
-  hits : int Atomic.t;
-  stores : int Atomic.t;
-  evictions : int Atomic.t;
-  invalidated : int Atomic.t;
+  mutable lookups : int;
+  mutable hits : int;
+  mutable stores : int;
+  mutable evictions : int;
+  mutable invalidated : int;
 }
-
-(* Aggregated contention counters for one lock-striped structure; the
-   per-stripe counters are plain ints mutated only while holding that
-   stripe's lock, so they cost no atomics and read consistently at
-   quiescence.  [wait_buckets] is a log2 histogram of contended wait
-   times: index [e + 32] holds waits in [2^(e-1), 2^e) seconds. *)
-type lock_stats = {
-  acquisitions : int;
-  contended : int;
-  wait_seconds : float;
-  wait_buckets : int array;
-}
-
-let hist_buckets = 64
 
 type stats = {
   table : string;
@@ -70,9 +40,6 @@ type stats = {
   invalidated : int;
   generation : int;
 }
-
-let lock_count = 64
-let lock_mask = lock_count - 1
 
 let create ~name ~bits ~dummy =
   if bits < 1 || bits > 28 then
@@ -88,26 +55,19 @@ let create ~name ~bits ~dummy =
     k3 = Array.make capacity 0;
     value = Array.make capacity dummy;
     stamp = Array.make capacity 0;
-    locks = Array.init lock_count (fun _ -> Mutex.create ());
-    lock_acquisitions = Array.make lock_count 0;
-    lock_contended = Array.make lock_count 0;
-    lock_wait = Array.make lock_count 0.;
-    lock_wait_buckets = Array.init lock_count (fun _ -> Array.make hist_buckets 0);
-    parallel = false;
-    entries = Atomic.make 0;
+    entries = 0;
     generation = 0;
-    lookups = Atomic.make 0;
-    hits = Atomic.make 0;
-    stores = Atomic.make 0;
-    evictions = Atomic.make 0;
-    invalidated = Atomic.make 0;
+    lookups = 0;
+    hits = 0;
+    stores = 0;
+    evictions = 0;
+    invalidated = 0;
   }
 
 let capacity (t : _ t) = t.mask + 1
 let name (t : _ t) = t.name
-let length (t : _ t) = Atomic.get t.entries
+let length (t : _ t) = t.entries
 let generation (t : _ t) = t.generation
-let set_parallel (t : _ t) flag = t.parallel <- flag
 
 (* Multiplicative mixing of the three key words; the constants are the
    usual 64-bit golden-ratio/xxhash primes.  Only the low bits survive the
@@ -121,10 +81,12 @@ let slot (t : _ t) k1 k2 k3 =
 let key_matches (t : _ t) i k1 k2 k3 =
   t.k1.(i) = k1 && t.k2.(i) = k2 && t.k3.(i) = k3
 
-let probe (t : 'v t) i k1 k2 k3 =
+let find (t : 'v t) ~k1 ~k2 ~k3 =
+  t.lookups <- t.lookups + 1;
+  let i = slot t k1 k2 k3 in
   if Bytes.unsafe_get t.occupied i = '\001' && key_matches t i k1 k2 k3
   then begin
-    Atomic.incr t.hits;
+    t.hits <- t.hits + 1;
     (* fault harness: a poisoned hit hands back the dummy value — the
        corruption a collision-checking bug or torn store would produce *)
     if Fault.fire Fault.Table_poison then Some t.dummy
@@ -132,66 +94,21 @@ let probe (t : 'v t) i k1 k2 k3 =
   end
   else None
 
-(* Contention-instrumented acquisition: a [try_lock] success is the
-   uncontended path; a failure counts as contended and times the
-   blocking wait.  Runs only when [parallel] is armed, so [--domains 1]
-   stays lock- and allocation-free. *)
-let lock_stripe (t : _ t) s =
-  let lock = t.locks.(s) in
-  if Mutex.try_lock lock then
-    t.lock_acquisitions.(s) <- t.lock_acquisitions.(s) + 1
-  else begin
-    let t0 = Unix.gettimeofday () in
-    Mutex.lock lock;
-    let wait = Float.max 0. (Unix.gettimeofday () -. t0) in
-    t.lock_acquisitions.(s) <- t.lock_acquisitions.(s) + 1;
-    t.lock_contended.(s) <- t.lock_contended.(s) + 1;
-    t.lock_wait.(s) <- t.lock_wait.(s) +. wait;
-    let b = Obs.Metrics.bucket_exponent wait + 32 in
-    let h = t.lock_wait_buckets.(s) in
-    h.(b) <- h.(b) + 1
-  end
-
-let find (t : 'v t) ~k1 ~k2 ~k3 =
-  Atomic.incr t.lookups;
+let store (t : 'v t) ~k1 ~k2 ~k3 v =
   let i = slot t k1 k2 k3 in
-  if t.parallel then begin
-    let s = i land lock_mask in
-    lock_stripe t s;
-    match probe t i k1 k2 k3 with
-    | r ->
-      Mutex.unlock t.locks.(s);
-      r
-    | exception e ->
-      Mutex.unlock t.locks.(s);
-      raise e
-  end
-  else probe t i k1 k2 k3
-
-let write (t : 'v t) i k1 k2 k3 v =
   if Bytes.unsafe_get t.occupied i = '\001' then begin
-    if not (key_matches t i k1 k2 k3) then Atomic.incr t.evictions
+    if not (key_matches t i k1 k2 k3) then t.evictions <- t.evictions + 1
   end
   else begin
     Bytes.unsafe_set t.occupied i '\001';
-    Atomic.incr t.entries
+    t.entries <- t.entries + 1
   end;
   t.k1.(i) <- k1;
   t.k2.(i) <- k2;
   t.k3.(i) <- k3;
   t.value.(i) <- v;
   t.stamp.(i) <- t.generation;
-  Atomic.incr t.stores
-
-let store (t : 'v t) ~k1 ~k2 ~k3 v =
-  let i = slot t k1 k2 k3 in
-  if t.parallel then begin
-    let s = i land lock_mask in
-    lock_stripe t s;
-    write t i k1 k2 k3 v;
-    Mutex.unlock t.locks.(s)
-  end
-  else write t i k1 k2 k3 v
+  t.stores <- t.stores + 1
 
 let iter f (t : 'v t) =
   for i = 0 to t.mask do
@@ -201,7 +118,7 @@ let iter f (t : 'v t) =
 
 let clear (t : _ t) =
   Bytes.fill t.occupied 0 (Bytes.length t.occupied) '\000';
-  Atomic.set t.entries 0
+  t.entries <- 0
 
 (* Generation-aware sweep: entries whose keys/values still refer to live
    nodes survive the collection and are re-stamped with the new
@@ -216,66 +133,39 @@ let sweep (t : 'v t) ~keep =
         t.stamp.(i) <- t.generation
       else begin
         Bytes.unsafe_set t.occupied i '\000';
-        Atomic.decr t.entries;
+        t.entries <- t.entries - 1;
         incr dropped
       end
   done;
-  ignore (Atomic.fetch_and_add t.invalidated !dropped);
+  t.invalidated <- t.invalidated + !dropped;
   !dropped
 
 let reset_counters (t : _ t) =
-  Atomic.set t.lookups 0;
-  Atomic.set t.hits 0;
-  Atomic.set t.stores 0;
-  Atomic.set t.evictions 0;
-  Atomic.set t.invalidated 0
-
-let lock_stats (t : _ t) =
-  let buckets = Array.make hist_buckets 0 in
-  let acq = ref 0 and cont = ref 0 and wait = ref 0. in
-  for s = 0 to lock_count - 1 do
-    acq := !acq + t.lock_acquisitions.(s);
-    cont := !cont + t.lock_contended.(s);
-    wait := !wait +. t.lock_wait.(s);
-    Array.iteri
-      (fun b n -> buckets.(b) <- buckets.(b) + n)
-      t.lock_wait_buckets.(s)
-  done;
-  {
-    acquisitions = !acq;
-    contended = !cont;
-    wait_seconds = !wait;
-    wait_buckets = buckets;
-  }
-
-let reset_lock_stats (t : _ t) =
-  Array.fill t.lock_acquisitions 0 lock_count 0;
-  Array.fill t.lock_contended 0 lock_count 0;
-  Array.fill t.lock_wait 0 lock_count 0.;
-  Array.iter (fun h -> Array.fill h 0 hist_buckets 0) t.lock_wait_buckets
+  t.lookups <- 0;
+  t.hits <- 0;
+  t.stores <- 0;
+  t.evictions <- 0;
+  t.invalidated <- 0
 
 let stats (t : 'v t) : stats =
-  let lookups = Atomic.get t.lookups and hits = Atomic.get t.hits in
   {
     table = t.name;
     capacity = capacity t;
-    entries = Atomic.get t.entries;
-    lookups;
-    hits;
-    misses = lookups - hits;
-    stores = Atomic.get t.stores;
-    evictions = Atomic.get t.evictions;
-    invalidated = Atomic.get t.invalidated;
+    entries = t.entries;
+    lookups = t.lookups;
+    hits = t.hits;
+    misses = t.lookups - t.hits;
+    stores = t.stores;
+    evictions = t.evictions;
+    invalidated = t.invalidated;
     generation = t.generation;
   }
 
-let hits (t : _ t) = Atomic.get t.hits
-let lookups (t : _ t) = Atomic.get t.lookups
+let hits (t : _ t) = t.hits
+let lookups (t : _ t) = t.lookups
 
 let hit_rate (t : _ t) =
-  let lookups = Atomic.get t.lookups in
-  if lookups = 0 then 0.
-  else float_of_int (Atomic.get t.hits) /. float_of_int lookups
+  if t.lookups = 0 then 0. else float_of_int t.hits /. float_of_int t.lookups
 
 let pp_stats fmt s =
   Format.fprintf fmt

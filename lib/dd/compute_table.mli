@@ -31,13 +31,6 @@ val create : name:string -> bits:int -> dummy:'v -> 'v t
 val find : 'v t -> k1:int -> k2:int -> k3:int -> 'v option
 val store : 'v t -> k1:int -> k2:int -> k3:int -> 'v -> unit
 
-val set_parallel : 'v t -> bool -> unit
-(** Arm (or disarm) the per-slot-group mutexes taken by {!find}/{!store}
-    so concurrent domains cannot tear a slot's key/value pair.  Off by
-    default (no locks, the pre-sharing behaviour).  {!sweep}, {!clear}
-    and {!iter} remain unlocked — run them only while the domain pool is
-    quiescent. *)
-
 val clear : 'v t -> unit
 (** Drop every entry.  Counters are kept. *)
 
@@ -63,31 +56,3 @@ val hit_rate : 'v t -> float
 val stats : 'v t -> stats
 val reset_counters : 'v t -> unit
 val pp_stats : Format.formatter -> stats -> unit
-
-(** {2 Lock-contention accounting}
-
-    When {!set_parallel} is armed, every stripe acquisition is counted;
-    an acquisition whose initial [Mutex.try_lock] fails is additionally
-    counted as {e contended} and its blocking wait is timed.  The
-    per-stripe counters are mutated only under that stripe's lock (no
-    atomics, no allocation on the uncontended path) and nothing at all
-    runs when the flag is off — [--domains 1] behaviour is bitwise
-    unchanged.  This record shape is shared by {!Hashcons} and mirrored
-    by [Cnum.Ctable]. *)
-
-type lock_stats = {
-  acquisitions : int;  (** stripe acquisitions while [parallel] was armed *)
-  contended : int;  (** acquisitions that had to block *)
-  wait_seconds : float;  (** total time spent blocked *)
-  wait_buckets : int array;
-      (** log2 histogram of contended waits: index [e + 32] holds waits
-          in [2^(e-1), 2^e) seconds; 64 buckets *)
-}
-
-val hist_buckets : int
-(** Number of wait-histogram buckets (64). *)
-
-val lock_stats : 'v t -> lock_stats
-(** Aggregated over all 64 stripes.  Read at quiescence. *)
-
-val reset_lock_stats : 'v t -> unit

@@ -102,15 +102,6 @@ val live_m_nodes : t -> int
 val table_stats : t -> Compute_table.stats list
 (** Hit/miss/eviction counters of every compute table, in a fixed order. *)
 
-val lock_stats : t -> (string * Compute_table.lock_stats) list
-(** Stripe-lock contention counters of every lockable shared structure,
-    labelled: ["cnum"] (the canonical weight table), ["unique_v"] /
-    ["unique_m"] (the hash-cons tables), then one entry per compute
-    table under its {!Compute_table.name}.  Counters only advance while
-    {!set_parallel} is armed; read at quiescence. *)
-
-val reset_lock_stats : t -> unit
-
 val unique_table_bytes : t -> int
 (** Estimated bytes resident in the unique tables and the canonical
     weight table, from live entry counts times documented per-entry
@@ -136,14 +127,6 @@ val apply_skips : t -> int
 
 val note_apply_skip : t -> unit
 (** Count one rebuild-stable short-circuit (called by the apply kernel). *)
-
-val set_parallel : t -> bool -> unit
-(** Arm (or disarm) every shared table — the canonical weight table, both
-    unique tables, all compute tables — for concurrent interning from
-    worker domains.  The plain-Hashtbl members (identity cache, apply
-    kind/layout ids, rebuild-stable flags) stay single-domain: the engine
-    only runs [Vdd.add]/[Mdd.mul]/[Measure.sample] in workers, which
-    never touch them.  Toggle only while no worker domain is running. *)
 
 val per_level_v_nodes : t -> levels:int -> int array
 (** Resident vector nodes per level, straight from the unique table's

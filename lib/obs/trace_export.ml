@@ -13,7 +13,6 @@ let kind_to_string = function
   | Trace.Measure -> "measure"
   | Trace.Audit -> "audit"
   | Trace.Reorder -> "reorder"
-  | Trace.Pool_section -> "pool_section"
 
 let kind_of_string = function
   | "gate_applied" -> Some Trace.Gate_applied
@@ -27,7 +26,6 @@ let kind_of_string = function
   | "measure" -> Some Trace.Measure
   | "audit" -> Some Trace.Audit
   | "reorder" -> Some Trace.Reorder
-  | "pool_section" -> Some Trace.Pool_section
   | _ -> None
 
 let meta_json meta =
@@ -50,16 +48,11 @@ let jsonl ?(meta = []) trace =
        (meta_json meta));
   Trace.iter
     (fun (e : Trace.event) ->
-      (* [domain] is emitted only when non-zero, so a single-lane trace
-         serialises byte-identically to schema v1 events *)
-      let domain_field =
-        if e.domain > 0 then Printf.sprintf ",\"domain\":%d" e.domain else ""
-      in
       Buffer.add_string buffer
         (Printf.sprintf
-           "{\"kind\":\"%s\",\"t\":%.9g,\"dur\":%.9g,\"gate\":%d,\"state_nodes\":%d,\"matrix_nodes\":%d,\"hits\":%d,\"misses\":%d%s,\"detail\":\"%s\"}\n"
+           "{\"kind\":\"%s\",\"t\":%.9g,\"dur\":%.9g,\"gate\":%d,\"state_nodes\":%d,\"matrix_nodes\":%d,\"hits\":%d,\"misses\":%d,\"detail\":\"%s\"}\n"
            (kind_to_string e.kind) e.t e.dur e.gate_index e.state_nodes
-           e.matrix_nodes e.hits e.misses domain_field (Json.escape e.detail)))
+           e.matrix_nodes e.hits e.misses (Json.escape e.detail)))
     trace;
   (* checksum trailer: lets [ddsim fsck] detect truncation/garbling *)
   let body = Buffer.contents buffer in
@@ -90,14 +83,13 @@ let chrome ?(meta = []) trace =
       if e.dur > 0. then
         Buffer.add_string buffer
           (Printf.sprintf
-             "\n{\"name\":\"%s\",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,\"pid\":1,\"tid\":%d,\"args\":%s}"
-             (kind_to_string e.kind) ts_us (e.dur *. 1e6) (e.domain + 1)
-             (chrome_args e))
+             "\n{\"name\":\"%s\",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,\"pid\":1,\"tid\":1,\"args\":%s}"
+             (kind_to_string e.kind) ts_us (e.dur *. 1e6) (chrome_args e))
       else
         Buffer.add_string buffer
           (Printf.sprintf
-             "\n{\"name\":\"%s\",\"ph\":\"i\",\"ts\":%.3f,\"s\":\"t\",\"pid\":1,\"tid\":%d,\"args\":%s}"
-             (kind_to_string e.kind) ts_us (e.domain + 1) (chrome_args e)))
+             "\n{\"name\":\"%s\",\"ph\":\"i\",\"ts\":%.3f,\"s\":\"t\",\"pid\":1,\"tid\":1,\"args\":%s}"
+             (kind_to_string e.kind) ts_us (chrome_args e)))
     trace;
   Buffer.add_string buffer "\n],";
   Buffer.add_string buffer
@@ -124,7 +116,6 @@ let all_kinds =
     Trace.Measure;
     Trace.Audit;
     Trace.Reorder;
-    Trace.Pool_section;
   ]
 
 let summary trace =

@@ -19,10 +19,9 @@ val schema : string
 (** ["ddsim-trace"]. *)
 
 val version : int
-(** Current JSONL schema version (2).  v2 adds the optional per-event
-    [domain] field (per-domain trace lanes) and the [pool_section] kind;
-    single-lane traces still serialise byte-identically to v1 events,
-    and {!Trace_report.parse_jsonl} accepts both versions. *)
+(** Current JSONL schema version (2).  Events serialise byte-identically
+    to v1 events, and {!Trace_report.parse_jsonl} accepts both
+    versions. *)
 
 val kind_to_string : Trace.kind -> string
 val kind_of_string : string -> Trace.kind option

@@ -20,6 +20,13 @@ let test_clean_state_audits_clean () =
        (Dd.Audit.check_vector ctx (Dd_sim.Engine.state engine)));
   check_int "no table violations" 0 (List.length (Dd.Audit.check_tables ctx))
 
+let test_k_window_run_audits_clean () =
+  let circuit = Standard.random_circuit ~seed:13 ~qubits:5 ~gates:60 () in
+  let engine = Dd_sim.Engine.create Circuit.(circuit.qubits) in
+  Dd_sim.Engine.run ~strategy:(Dd_sim.Strategy.K_operations 4) engine circuit;
+  check_int "auditor finds no violations after window products" 0
+    (Dd_sim.Engine.audit_now engine)
+
 let test_audit_now_clean () =
   let engine =
     run_engine (Standard.random_circuit ~seed:7 ~qubits:4 ~gates:30 ())
@@ -130,6 +137,8 @@ let suite =
   [
     Alcotest.test_case "clean state audits clean" `Quick
       test_clean_state_audits_clean;
+    Alcotest.test_case "clean after a k-window run" `Quick
+      test_k_window_run_audits_clean;
     Alcotest.test_case "audit_now on a clean engine" `Quick
       test_audit_now_clean;
     Alcotest.test_case "norm drift detected" `Quick test_norm_drift_detected;

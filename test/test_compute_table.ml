@@ -143,6 +143,23 @@ let test_create_rejects_bad_bits () =
        false
      with Invalid_argument _ -> true)
 
+let test_table_ops_allocate_nothing () =
+  (* find/store sit on every kernel recursion: a miss and a store must
+     cost no allocation *)
+  let table = Dd.Compute_table.create ~name:"zeroalloc" ~bits:8 ~dummy:0 in
+  Dd.Compute_table.store table ~k1:1 ~k2:2 ~k3:3 42;
+  ignore (Sys.opaque_identity (Dd.Compute_table.find table ~k1:9 ~k2:9 ~k3:9));
+  let before = Gc.minor_words () in
+  for _ = 1 to 100_000 do
+    Dd.Compute_table.store table ~k1:1 ~k2:2 ~k3:3 42;
+    ignore
+      (Sys.opaque_identity (Dd.Compute_table.find table ~k1:9 ~k2:9 ~k3:9))
+  done;
+  let allocated = Gc.minor_words () -. before in
+  check_bool
+    (Printf.sprintf "100k find/store allocated %.0f words" allocated)
+    true (allocated < 256.)
+
 let suite =
   [
     Alcotest.test_case "find_after_store" `Quick test_find_after_store;
@@ -154,4 +171,6 @@ let suite =
       test_clear_drops_entries_keeps_counters;
     Alcotest.test_case "sweep" `Quick test_sweep_keeps_and_drops;
     Alcotest.test_case "create_bounds" `Quick test_create_rejects_bad_bits;
+    Alcotest.test_case "find_store_allocate_nothing" `Quick
+      test_table_ops_allocate_nothing;
   ]

@@ -157,6 +157,18 @@ let test_probabilities_under_order () =
   check_float "p(|100>)" 0.64 p.(4);
   check_float "p(|000>)" 0. p.(0)
 
+let test_sample_shots_edges () =
+  let engine = Dd_sim.Engine.create 3 in
+  check_int "zero shots" 0 (Array.length (Dd_sim.Engine.sample_shots engine 0));
+  check_bool "negative shots rejected" true
+    (match Dd_sim.Engine.sample_shots engine (-1) with
+    | exception Dd_sim.Error.Error (Dd_sim.Error.Invalid_parameter _) -> true
+    | _ -> false);
+  check_bool "one shot" true (Dd_sim.Engine.sample_shots engine 1 = [| 0 |]);
+  (* |000> state: every shot is 0 *)
+  let shots = Dd_sim.Engine.sample_shots engine 17 in
+  Array.iteri (fun i s -> check_int (Printf.sprintf "shot %d" i) 0 s) shots
+
 let suite =
   [
     Alcotest.test_case "norm_basis" `Quick test_norm_basis;
@@ -183,4 +195,5 @@ let suite =
       test_sample_under_order;
     Alcotest.test_case "probabilities under non-identity order" `Quick
       test_probabilities_under_order;
+    Alcotest.test_case "sample_shots_edges" `Quick test_sample_shots_edges;
   ]

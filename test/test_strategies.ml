@@ -57,6 +57,27 @@ let test_strategies_agree_canonically () =
         (Dd.Vdd.equal reference (run strategy)))
     [ Dd_sim.Strategy.K_operations 4; Dd_sim.Strategy.Max_size 64 ]
 
+let prop_k_window_runs_match =
+  QCheck.Test.make ~name:"k-window runs match sequential amplitudes"
+    ~count:15
+    (QCheck.pair
+       (QCheck.make
+          ~print:(fun seed -> Printf.sprintf "random_circuit seed %d" seed)
+          QCheck.Gen.(0 -- 10000))
+       (QCheck.oneofl [ 2; 4 ]))
+  @@ fun (seed, k) ->
+  let circuit = Standard.random_circuit ~seed ~qubits:4 ~gates:24 () in
+  let close a b =
+    Array.for_all2
+      (fun x y -> Dd_complex.Cnum.approx_equal ~tol:1e-9 x y)
+      a b
+  in
+  let windowed =
+    dd_state_of_circuit ~strategy:(Dd_sim.Strategy.K_operations k) circuit
+  in
+  close (dd_state_of_circuit circuit) windowed
+  && close (dense_state_of_circuit circuit) windowed
+
 let test_k_operations_counts () =
   let gates = 24 and k = 4 in
   let circuit = Standard.random_circuit ~seed:9 ~qubits:4 ~gates () in
@@ -215,3 +236,4 @@ let suite =
     Alcotest.test_case "invalid_strategy" `Quick
       test_invalid_strategy_rejected;
   ]
+  @ List.map QCheck_alcotest.to_alcotest [ prop_k_window_runs_match ]
