@@ -436,6 +436,9 @@ let of_string ?(name = "qasm") source =
           ignore (advance state);
           let rec collect acc =
             let v = parse_expression state in
+            if not (Float.is_finite v) then
+              fail state
+                (Printf.sprintf "non-finite parameter %g to %s" v spelling);
             match advance state with
             | Comma -> collect (v :: acc)
             | Rparen -> List.rev (v :: acc)

@@ -4,9 +4,13 @@
     or a unique non-negative identifier once canonicalised through
     {!Ctable.intern}.  Interned values of (numerically) equal numbers are
     physically equal and share the same tag, so weight equality inside the DD
-    package is a single integer comparison. *)
+    package is a single integer comparison.
 
-type t = private { re : float; im : float; tag : int }
+    The record is flat: three unboxed doubles in one 4-word block.  The tag
+    is stored as a float and read back as an [int] by {!tag}; tags are exact
+    below 2^53. *)
+
+type t = private { re : float; im : float; tag : float }
 
 val zero : t
 (** [0 + 0i], pre-tagged with {!Ctable.zero_tag}. *)
@@ -53,6 +57,9 @@ val approx_zero : ?tol:float -> t -> bool
 
 val approx_equal : ?tol:float -> t -> t -> bool
 (** Component-wise comparison. *)
+
+val is_finite : t -> bool
+(** Neither component is infinite or NaN. *)
 
 val is_exact_zero : t -> bool
 val is_exact_one : t -> bool

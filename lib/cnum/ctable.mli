@@ -29,7 +29,13 @@ val intern : t -> Cnum.t -> Cnum.t
     entry within [tolerance] component-wise, or [z] itself freshly tagged.
     Values within tolerance of [0] and [1] intern to the exact constants.
     Already-tagged values (tag >= 0) are returned unchanged — a table only
-    ever sees weights it produced. *)
+    ever sees weights it produced.
+
+    When several entries are within tolerance, the winner is fixed: the
+    nine buckets around [z]'s bucket key are probed in the order (0,0),
+    (-1,0), (1,0), (0,-1), (0,1), (-1,-1), (-1,1), (1,-1), (1,1), each
+    newest entry first, and the first match is returned.  Node counts
+    depend on this choice through the tags.  A hit allocates nothing. *)
 
 val size : t -> int
 (** Number of distinct canonical values. *)

@@ -118,6 +118,8 @@ let apply ctx ~n ~target ?(controls = []) entries state =
     Dd_error.invalid_operand ~operation:"Apply.apply" message
   in
   if Array.length entries <> 4 then reject "entries must hold 4 values";
+  if not (Array.for_all Cnum.is_finite entries) then
+    reject "gate entries must be finite";
   if target < 0 || target >= n then
     reject (Printf.sprintf "target %d out of range for %d qubits" target n);
   (* qubit -> level translation through the live order; everything below

@@ -22,4 +22,5 @@ val apply :
     row-major 2x2 matrix [|m00; m01; m10; m11|].  Controls may sit on any
     wire, above or below the target.  Raises {!Dd_error.Error}
     ([Invalid_operand]) on malformed input (bad ranges, duplicate
-    controls, control equal to target, wrong state height). *)
+    controls, control equal to target, wrong state height, an infinite or
+    NaN entry). *)

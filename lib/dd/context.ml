@@ -159,20 +159,23 @@ let table_stats ctx =
 
 (* -- table residency estimates ---------------------------------------- *)
 
-(* Per-entry heap-word costs, from the record layouts in types.ml / the
-   packed compute-table slots.  A vnode is a 5-word block (header + vid,
-   level, v_low, v_high) plus two boxed vedges at 3 words each — 11 words.
-   An mnode is a 7-word block plus four boxed medges — 19 words.  A packed
-   compute-table entry is four key/value slots plus the boxed result edge
-   and weight sharing — call it 8 words.  A canonical-weight entry is a
-   boxed Cnum (3 words) plus its table slot — call it 6.  These are
-   estimates for telemetry gauges, not an allocator census: hash-table
-   bucket overhead and weight sharing pull in opposite directions and
-   roughly cancel. *)
+(* Per-entry heap-word costs, from the record layouts in types.ml, the
+   packed compute-table slots and ctable.ml.  A vnode is a 5-word block
+   (header + vid, level, v_low, v_high) plus two vedges at 3 words each
+   (header + weight pointer + node pointer) — 11 words.  An mnode is a
+   7-word block plus four 3-word medges — 19 words.  Edge weights are
+   pointers to canonical Cnums, which are charged to the weight table, not
+   to the nodes.  A packed compute-table entry is four key/value slots plus
+   the boxed result edge and weight sharing — call it 8 words.  A
+   canonical-weight entry is the flat 4-word Cnum (header + re, im, tag),
+   2 words of unboxed re/im, 3 words of bucket key and chain link, 1 value
+   pointer, and 2-4 index slots (load 1/4 to 1/2) — 13 words; a test holds
+   this within 25% of [Obj.reachable_words] on a 100k-entry table.  These
+   are estimates for telemetry gauges, not an allocator census. *)
 let vnode_words = 11
 let mnode_words = 19
 let compute_entry_words = 8
-let cnum_entry_words = 6
+let cnum_entry_words = 13
 let bytes_per_word = 8
 
 let unique_table_bytes ctx =

@@ -105,8 +105,13 @@ val table_stats : t -> Compute_table.stats list
 val unique_table_bytes : t -> int
 (** Estimated bytes resident in the unique tables and the canonical
     weight table, from live entry counts times documented per-entry
-    layout costs (vnode 11 words, mnode 19, weight 6; 8-byte words).
-    O(1) — safe on hot observability paths. *)
+    layout costs (vnode 11 words, mnode 19, weight
+    {!cnum_entry_words}; 8-byte words).  O(1) — safe on hot observability
+    paths. *)
+
+val cnum_entry_words : int
+(** Heap words charged per canonical weight: the flat 4-word [Cnum.t]
+    plus its slots in the weight table's chunks and index (13). *)
 
 val compute_table_bytes : t -> int
 (** Estimated bytes resident across all nine compute tables (8 words

@@ -48,6 +48,8 @@ let identity ctx n =
 let gate ctx ~n ~target ?(controls = []) entries =
   let reject message = Dd_error.invalid_operand ~operation:"Mdd.gate" message in
   if Array.length entries <> 4 then reject "entries must hold 4 values";
+  if not (Array.for_all Cnum.is_finite entries) then
+    reject "gate entries must be finite";
   if target < 0 || target >= n then
     reject (Printf.sprintf "target %d out of range for %d qubits" target n);
   (* target/control indices are qubits; translate them to levels through

@@ -33,7 +33,8 @@ val gate :
     applied to qubit [target], guarded by [controls], identity elsewhere.
     Qubit indices are translated to DD levels through the context's live
     {!Order.t}, so circuits are untouched by reordering.  Raises
-    [Invalid_argument] on out-of-range or duplicated qubits. *)
+    {!Dd_error.Error} ([Invalid_operand]) on out-of-range or duplicated
+    qubits and on an infinite or NaN entry. *)
 
 val of_permutation : Context.t -> n:int -> (int -> int) -> edge
 (** [of_permutation ctx ~n f] is the unitary [sum_x |f x><x|]; [f] must be a

@@ -107,6 +107,149 @@ let test_bucket_boundary () =
   let b = Ctable.intern table (Cnum.make (1.5e-6 -. 4.9e-7) 0.) in
   check_bool "boundary straddlers merge" true (a == b)
 
+(* -- the table against a reference model --------------------------------
+
+   The model is the table's original implementation: a [Hashtbl] from bucket
+   key to a newest-first list, nine neighbour probes in a fixed order.  The
+   flat table must pick the same representative (hence the same tag) for
+   every value, because that choice reaches node counts through the tags. *)
+
+module Model = struct
+  type t = {
+    tolerance : float;
+    buckets : (int * int, Cnum.t list) Hashtbl.t;
+    mutable next_tag : int;
+  }
+
+  let bucket_key table z =
+    let scale x = int_of_float (floor ((x /. table.tolerance) +. 0.5)) in
+    (scale (Cnum.re z), scale (Cnum.im z))
+
+  let add_entry table z =
+    let key = bucket_key table z in
+    let entries = try Hashtbl.find table.buckets key with Not_found -> [] in
+    Hashtbl.replace table.buckets key (z :: entries)
+
+  let create tolerance =
+    let table = { tolerance; buckets = Hashtbl.create 16; next_tag = 2 } in
+    add_entry table Cnum.zero;
+    add_entry table Cnum.one;
+    table
+
+  let find_existing table z =
+    let bre, bim = bucket_key table z in
+    List.find_map
+      (fun (di, dj) ->
+        let entries =
+          try Hashtbl.find table.buckets (bre + di, bim + dj)
+          with Not_found -> []
+        in
+        List.find_opt (Cnum.approx_equal ~tol:table.tolerance z) entries)
+      [ (0, 0); (-1, 0); (1, 0); (0, -1); (0, 1);
+        (-1, -1); (-1, 1); (1, -1); (1, 1) ]
+
+  let intern table z =
+    match find_existing table z with
+    | Some canonical -> canonical
+    | None ->
+      let canonical = Cnum.with_tag z table.next_tag in
+      table.next_tag <- table.next_tag + 1;
+      add_entry table canonical;
+      canonical
+end
+
+(* One coordinate, in units of the tolerance: near 0 and +-1, on either side
+   of a bucket edge ((k + 1/2) tol), or spread over a few thousand buckets of
+   both signs with a jitter of a few tolerances, so clusters form. *)
+let coordinate_gen tol =
+  let open QCheck.Gen in
+  oneof
+    [
+      map2
+        (fun base j -> base +. (j *. tol))
+        (oneofl [ 0.; 1.; -1. ])
+        (float_range (-3.) 3.);
+      map2
+        (fun k e -> (float_of_int k +. 0.5 +. e) *. tol)
+        (int_range (-40) 40)
+        (oneofl [ -0.49; -1e-3; -1e-9; 0.; 1e-9; 1e-3; 0.49 ]);
+      map2
+        (fun k j -> (float_of_int k +. j) *. tol)
+        (int_range (-1500) 1500)
+        (float_range (-2.) 2.);
+    ]
+
+let stream_arb =
+  let open QCheck.Gen in
+  let gen =
+    oneofl [ 1e-12; 1e-3 ] >>= fun tol ->
+    let coord = coordinate_gen tol in
+    list_size (return 6000) (pair coord coord) >>= fun values ->
+    return (tol, values)
+  in
+  QCheck.make
+    ~print:(fun (tol, values) ->
+      Printf.sprintf "tol %g, %d values" tol (List.length values))
+    gen
+
+let prop_table_matches_model =
+  QCheck.Test.make ~name:"intern returns the reference model's tag"
+    ~count:12 stream_arb (fun (tolerance, values) ->
+      let table = Ctable.create ~tolerance ()
+      and model = Model.create tolerance in
+      let agree =
+        List.for_all
+          (fun (re, im) ->
+            let z = Cnum.make re im in
+            Cnum.tag (Ctable.intern table z) = Cnum.tag (Model.intern model z))
+          values
+      in
+      (* a few thousand entries: several index doublings and many chunks *)
+      agree
+      && Ctable.size table = model.Model.next_tag
+      && Ctable.size table > 2048)
+
+let test_intern_allocates_nothing () =
+  let table = Ctable.create () in
+  for k = 1 to 5000 do
+    ignore (Ctable.intern table (Cnum.make (float_of_int k *. 1e-9) 0.5))
+  done;
+  let tagged = Ctable.intern table (Cnum.make 0.3 0.4) in
+  (* hits in its own bucket, and one found only by a neighbour probe *)
+  let near = Cnum.make (0.3 +. 1e-13) 0.4 in
+  let edge = Cnum.make 0.3 (0.4 -. 9e-13) in
+  check_bool "untagged values hit the entry" true
+    (Ctable.intern table near == tagged && Ctable.intern table edge == tagged);
+  let measure f =
+    let before = Gc.minor_words () in
+    for _ = 1 to 100_000 do
+      ignore (Sys.opaque_identity (f ()))
+    done;
+    Gc.minor_words () -. before
+  in
+  check_float "interning a tagged value allocates nothing" 0.
+    (measure (fun () -> Ctable.intern table tagged));
+  check_float "an own-bucket hit allocates nothing" 0.
+    (measure (fun () -> Ctable.intern table near));
+  check_float "a neighbour-bucket hit allocates nothing" 0.
+    (measure (fun () -> Ctable.intern table edge))
+
+(* Context's residency gauge charges [cnum_entry_words] per canonical
+   weight; it must track what a large table really holds. *)
+let test_residency_estimate () =
+  let table = Ctable.create () in
+  for k = 1 to 120_000 do
+    ignore (Ctable.intern table (Cnum.make (float_of_int k *. 1e-7) 0.25))
+  done;
+  let estimate =
+    float_of_int (Ctable.size table * Dd.Context.cnum_entry_words)
+  in
+  let actual = float_of_int (Obj.reachable_words (Obj.repr table)) in
+  check_bool
+    (Printf.sprintf "estimate %.0f words vs %.0f reachable" estimate actual)
+    true
+    (abs_float (estimate -. actual) <= 0.25 *. actual)
+
 let suite =
   [
     Alcotest.test_case "add" `Quick test_add;
@@ -129,4 +272,8 @@ let suite =
     Alcotest.test_case "intern_idempotent" `Quick test_intern_idempotent;
     Alcotest.test_case "table_size" `Quick test_table_size;
     Alcotest.test_case "bucket_boundary" `Quick test_bucket_boundary;
+    QCheck_alcotest.to_alcotest prop_table_matches_model;
+    Alcotest.test_case "intern_allocates_nothing" `Quick
+      test_intern_allocates_nothing;
+    Alcotest.test_case "residency_estimate" `Quick test_residency_estimate;
   ]

@@ -120,6 +120,21 @@ let test_gate_rejects_bad_input () =
            ~controls:[ { Dd.Mdd.c_qubit = 0; c_positive = true } ]
            (Gate.matrix Gate.X)))
 
+let test_gate_rejects_non_finite () =
+  let ctx = fresh_ctx () in
+  let entries = [| Cnum.one; Cnum.zero; Cnum.make Float.nan 0.; Cnum.one |] in
+  let rejected operation =
+    Dd.Dd_error.Error
+      (Dd.Dd_error.Invalid_operand
+         { operation; message = "gate entries must be finite" })
+  in
+  Alcotest.check_raises "Mdd.gate" (rejected "Mdd.gate") (fun () ->
+      ignore (Dd.Mdd.gate ctx ~n:2 ~target:1 entries));
+  let entries = [| Cnum.one; Cnum.zero; Cnum.zero; Cnum.make 0. infinity |] in
+  Alcotest.check_raises "Apply.apply" (rejected "Apply.apply") (fun () ->
+      ignore
+        (Dd.Apply.apply ctx ~n:2 ~target:0 entries (Dd.Vdd.basis ctx ~n:2 0)))
+
 let test_gate_size_linear () =
   let ctx = fresh_ctx () in
   let n = 16 in
@@ -273,6 +288,8 @@ let suite =
     Alcotest.test_case "mcz_mixed_polarity" `Quick test_mcz_mixed_polarity;
     Alcotest.test_case "gate_rejects_bad_input" `Quick
       test_gate_rejects_bad_input;
+    Alcotest.test_case "gate_rejects_non_finite" `Quick
+      test_gate_rejects_non_finite;
     Alcotest.test_case "gate_size_linear" `Quick test_gate_size_linear;
     Alcotest.test_case "of_dense_roundtrip" `Quick test_of_dense_roundtrip;
     Alcotest.test_case "permutation" `Quick test_permutation;

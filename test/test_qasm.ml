@@ -248,6 +248,24 @@ let test_parse_error_names_token () =
   check_bool "message shows the offending token" true
     (contains_sub message "got")
 
+(* an overflowing or NaN angle would turn the gate's entries into NaN and
+   silently zero the state; it is a located parse error instead *)
+let test_parse_non_finite_parameter () =
+  List.iter
+    (fun statement ->
+      let line, message =
+        parse_error_of ("OPENQASM 2.0;\nqreg q[2];\nh q[0];\n" ^ statement)
+      in
+      check_int (statement ^ " located") 4 line;
+      check_bool (statement ^ " message") true
+        (contains_sub message "non-finite parameter"))
+    [
+      "rx(1e400) q[1];\n";
+      "rz(-1e400) q[0];\n";
+      "p(1e400/1e400) q[0];\n";
+      "u3(0,1e308*10,0) q[1];\n";
+    ]
+
 let suite =
   suite
   @ [
@@ -267,6 +285,8 @@ let suite =
         test_parse_bad_register_size;
       Alcotest.test_case "parse_error_names_token" `Quick
         test_parse_error_names_token;
+      Alcotest.test_case "parse_non_finite_parameter" `Quick
+        test_parse_non_finite_parameter;
     ]
 
 (* -- fuzz: mutated programs may only fail with a located Parse_error ----- *)
