@@ -701,15 +701,13 @@ let apply_run_json ~circuit_name ~mode ~strategy ~fused circuit =
   (* best of three, each in a fresh package instance (same policy as
      [timed_run]); counters are identical across repetitions, so they are
      reported from the last one *)
-  let one ?ledger () =
+  let one ?trace () =
     let ctx = Dd.Context.create () in
     let engine =
       Dd_sim.Engine.create ~context:ctx Circuit.(circuit.qubits)
     in
     Dd_sim.Engine.set_fused_apply engine fused;
-    (match ledger with
-    | None -> ()
-    | Some sink -> Dd_sim.Engine.set_ledger engine sink);
+    Option.iter (Dd_sim.Engine.set_trace engine) trace;
     let (), seconds =
       wall (fun () -> Dd_sim.Engine.run ~strategy engine circuit)
     in
@@ -717,11 +715,12 @@ let apply_run_json ~circuit_name ~mode ~strategy ~fused circuit =
   in
   let _, _, t1 = one () in
   let _, _, t2 = one () in
-  (* the strategy ledger rides on the last repetition only; its timing
-     columns are attribution data (bench-check informational), while
-     min-of-three keeps the wall_seconds column honest *)
-  let ledger = Obs.Ledger.create () in
-  let ctx, engine, t3 = one ~ledger () in
+  (* the trace rides on the last repetition only; the ledger_* columns
+     folded from its windows are attribution data (bench-check
+     informational), while min-of-three keeps the wall_seconds column
+     honest *)
+  let trace = Obs.Trace.create () in
+  let ctx, engine, t3 = one ~trace () in
   let seconds = min t1 (min t2 t3) in
   let stats = Dd_sim.Engine.stats engine in
   let table name =
@@ -736,10 +735,12 @@ let apply_run_json ~circuit_name ~mode ~strategy ~fused circuit =
       float_of_int apply.Dd.Compute_table.hits
       /. float_of_int apply.Dd.Compute_table.lookups
   in
-  let lt = Obs.Ledger.totals (Obs.Ledger.entries ledger) in
+  let lt =
+    Obs.Ledger.totals (Obs.Ledger.entries (Obs.Trace_report.of_trace trace))
+  in
   let attributed =
-    Obs.Ledger.total_build_seconds ledger
-    +. Obs.Ledger.total_apply_seconds ledger
+    lt.Obs.Ledger.mv_build +. lt.Obs.Ledger.mv_apply +. lt.Obs.Ledger.mm_build
+    +. lt.Obs.Ledger.mm_apply +. lt.Obs.Ledger.fb_build +. lt.Obs.Ledger.fb_apply
   in
   let coverage =
     let wall = stats.Dd_sim.Sim_stats.wall_time_seconds in
@@ -934,14 +935,7 @@ let trace_run_json ~circuit_name ~strategy circuit =
   let (), seconds =
     wall (fun () -> Dd_sim.Engine.run ~strategy engine circuit)
   in
-  let run =
-    {
-      Obs.Trace_report.version = Obs.Trace_export.version;
-      meta = [];
-      events = Array.to_list (Obs.Trace.events trace);
-      dropped = Obs.Trace.dropped trace;
-    }
-  in
+  let run = Obs.Trace_report.of_trace trace in
   let trajectory =
     downsample_trajectory ~max_points:240 (Obs.Trace_report.trajectory run)
   in

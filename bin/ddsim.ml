@@ -78,9 +78,20 @@ let attach_trace engine = function
     Dd_sim.Engine.set_trace engine trace;
     Some (path, trace)
 
-let export_trace ~format ~meta = function
+let export_trace engine ~format ~meta = function
   | None -> ()
   | Some (path, trace) ->
+    (* the wall clock rides along so [ddsim explain] can report how much
+       of the run the strategy windows cover *)
+    let meta =
+      meta
+      @ [
+          ( "wall_seconds",
+            Printf.sprintf "%.6f"
+              (Dd_sim.Engine.stats engine).Dd_sim.Sim_stats.wall_time_seconds
+          );
+        ]
+    in
     let contents =
       match format with
       | `Jsonl -> Obs.Trace_export.jsonl ~meta trace
@@ -142,43 +153,6 @@ let export_profile ~meta = function
     Printf.printf "wrote profile %s (%d snapshots, %d dropped)\n" path
       (Obs.Dd_profile.length sink)
       (Obs.Dd_profile.dropped sink)
-
-(* strategy cost ledger, shared by run / simulate *)
-
-let ledger_arg =
-  let doc =
-    "Record a per-window strategy cost ledger — mat-vec vs mat-mat \
-     attribution with build/apply seconds, compute-table traffic, node \
-     bulges and memory gauges — and write it to $(docv) as JSONL; read \
-     it back with $(b,ddsim explain) and compare runs with \
-     $(b,ddsim diff)."
-  in
-  Arg.(value & opt (some string) None & info [ "ledger" ] ~docv:"FILE" ~doc)
-
-let attach_ledger engine = function
-  | None -> None
-  | Some path ->
-    let sink = Obs.Ledger.create () in
-    Dd_sim.Engine.set_ledger engine sink;
-    Some (path, sink)
-
-let export_ledger engine ~meta = function
-  | None -> ()
-  | Some (path, sink) ->
-    (* the wall clock rides along so [ddsim explain] can report how much
-       of the run the attributed spans actually cover *)
-    let meta =
-      meta
-      @ [
-          ( "wall_seconds",
-            Printf.sprintf "%.6f"
-              (Dd_sim.Engine.stats engine).Dd_sim.Sim_stats.wall_time_seconds
-          );
-        ]
-    in
-    Obs.Trace_export.write_file path (Obs.Ledger.jsonl ~meta sink);
-    Printf.printf "wrote ledger %s (%d entries, %d dropped)\n" path
-      (Obs.Ledger.length sink) (Obs.Ledger.dropped sink)
 
 let no_fused_apply_arg =
   let doc =
@@ -514,7 +488,7 @@ let run_cmd =
       strategy repeating construct samples stats no_fused max_nodes
       max_matrix deadline norm_tol auto_gc checkpoint checkpoint_every
       resume trace trace_format metrics profile profile_every stats_json
-      ledger audit_every audit_tol reorder order bulge_factor reorder_every =
+      audit_every audit_tol reorder order bulge_factor reorder_every =
     with_structured_errors @@ fun () ->
     if algo = "shor" then run_shor modulus base strategy construct
     else begin
@@ -531,7 +505,6 @@ let run_cmd =
         ~every:reorder_every;
       let traced = attach_trace engine trace in
       let profiled = attach_profile engine ~every:profile_every profile in
-      let ledgered = attach_ledger engine ledger in
       let guard =
         guard_of_options max_nodes max_matrix deadline norm_tol auto_gc
       in
@@ -547,9 +520,8 @@ let run_cmd =
           ("reorder", reorder_to_string reorder);
         ]
       in
-      export_trace ~format:trace_format ~meta traced;
+      export_trace engine ~format:trace_format ~meta traced;
       export_profile ~meta profiled;
-      export_ledger engine ~meta ledgered;
       write_stats_json engine stats_json;
       if metrics then print_metrics engine
     end
@@ -563,8 +535,8 @@ let run_cmd =
       $ deadline_arg $ norm_tol_arg $ auto_gc_arg $ checkpoint_arg
       $ checkpoint_every_arg $ resume_arg $ trace_arg $ trace_format_arg
       $ metrics_arg $ profile_arg $ profile_every_arg $ stats_json_arg
-      $ ledger_arg $ audit_every_arg $ audit_tol_arg $ reorder_arg
-      $ order_arg $ bulge_factor_arg $ reorder_every_arg)
+      $ audit_every_arg $ audit_tol_arg $ reorder_arg $ order_arg
+      $ bulge_factor_arg $ reorder_every_arg)
   in
   Cmd.v (Cmd.info "run" ~doc:"Simulate a built-in benchmark circuit.") term
 
@@ -588,7 +560,7 @@ let simulate_cmd =
   let action file strategy seed samples stats no_fused detect
       max_nodes max_matrix deadline norm_tol auto_gc checkpoint
       checkpoint_every resume trace trace_format metrics profile
-      profile_every stats_json ledger audit_every audit_tol reorder order
+      profile_every stats_json audit_every audit_tol reorder order
       bulge_factor reorder_every =
     with_structured_errors @@ fun () ->
     let source =
@@ -610,7 +582,6 @@ let simulate_cmd =
       ~every:reorder_every;
     let traced = attach_trace engine trace in
     let profiled = attach_profile engine ~every:profile_every profile in
-    let ledgered = attach_ledger engine ledger in
     let guard =
       guard_of_options max_nodes max_matrix deadline norm_tol auto_gc
     in
@@ -626,9 +597,8 @@ let simulate_cmd =
         ("reorder", reorder_to_string reorder);
       ]
     in
-    export_trace ~format:trace_format ~meta traced;
+    export_trace engine ~format:trace_format ~meta traced;
     export_profile ~meta profiled;
-    export_ledger engine ~meta ledgered;
     write_stats_json engine stats_json;
     if metrics then print_metrics engine
   in
@@ -640,8 +610,8 @@ let simulate_cmd =
       $ auto_gc_arg
       $ checkpoint_arg $ checkpoint_every_arg $ resume_arg $ trace_arg
       $ trace_format_arg $ metrics_arg $ profile_arg $ profile_every_arg
-      $ stats_json_arg $ ledger_arg $ audit_every_arg $ audit_tol_arg
-      $ reorder_arg $ order_arg $ bulge_factor_arg $ reorder_every_arg)
+      $ stats_json_arg $ audit_every_arg $ audit_tol_arg $ reorder_arg
+      $ order_arg $ bulge_factor_arg $ reorder_every_arg)
   in
   Cmd.v (Cmd.info "simulate" ~doc:"Simulate an OpenQASM 2.0 file.") term
 
@@ -843,14 +813,13 @@ let report_cmd =
 
 (* --- explain ---------------------------------------------------------- *)
 
-let ledger_file_arg =
+let explain_trace_arg =
   Arg.(
     required
     & pos 0 (some file) None
-    & info [] ~docv:"LEDGER.jsonl"
+    & info [] ~docv:"TRACE.jsonl"
         ~doc:
-          "JSONL ledger written by $(b,run --ledger) / \
-           $(b,simulate --ledger).")
+          "JSONL trace written by $(b,run --trace) / $(b,simulate --trace).")
 
 let top_arg =
   Arg.(
@@ -860,18 +829,20 @@ let top_arg =
 
 let explain_cmd =
   let action file top =
-    match Obs.Ledger.parse_jsonl (read_source file) with
-    | run -> print_string (Obs.Ledger.explain ~top run)
+    let text = read_source file in
+    match Obs.Ledger.explain ~top (Obs.Trace_report.parse_jsonl text) with
+    | report -> print_string report
     | exception Failure message ->
       Printf.eprintf "ddsim: %s\n" message;
       exit 2
   in
-  let term = Term.(const action $ ledger_file_arg $ top_arg) in
+  let term = Term.(const action $ explain_trace_arg $ top_arg) in
   Cmd.v
     (Cmd.info "explain"
        ~doc:
-         "Analyse a strategy cost ledger: total mat-vec vs mat-mat time, \
-          amortization per window size, the observed break-even k and \
+         "Analyse the strategy windows of a trace: total mat-vec vs \
+          mat-mat time, amortization per window size, the observed \
+          break-even k and \
           the most expensive windows with their node bulges — the \
           paper's matrix-vector vs matrix-matrix comparison measured on \
           an actual run.")
@@ -885,8 +856,7 @@ let diff_file_a_arg =
     & pos 0 (some file) None
     & info [] ~docv:"A.jsonl"
         ~doc:
-          "First run: a JSONL trace (--trace), profile (--profile) or \
-           ledger (--ledger).")
+          "First run: a JSONL trace (--trace) or profile (--profile).")
 
 let diff_file_b_arg =
   Arg.(
@@ -937,10 +907,6 @@ let diff_cmd =
           Obs.Run_diff.render_profiles ~label_a:path_a ~label_b:path_b
             (Obs.Dd_profile.parse_jsonl text_a)
             (Obs.Dd_profile.parse_jsonl text_b)
-        else if schema_a = Obs.Ledger.schema then
-          Obs.Run_diff.render_ledgers ~label_a:path_a ~label_b:path_b
-            (Obs.Ledger.parse_jsonl text_a)
-            (Obs.Ledger.parse_jsonl text_b)
         else begin
           Printf.eprintf "ddsim: cannot diff schema %S files\n" schema_a;
           exit 2
@@ -957,9 +923,10 @@ let diff_cmd =
        ~doc:
          "Compare two recorded runs (JSONL traces or structural profiles \
           of the same circuit): first divergence point, node-trajectory \
-          overlay, per-phase time deltas, compute-table hit-rate deltas; \
-          profiles additionally get a per-level breakdown at the \
-          divergence.")
+          overlay, per-phase time deltas, compute-table hit-rate deltas, \
+          and per-strategy window totals with break-even k when the \
+          traces carry windows; profiles additionally get a per-level \
+          breakdown at the divergence.")
     term
 
 (* --- bench-check ------------------------------------------------------ *)
@@ -1030,8 +997,7 @@ let fsck_files_arg =
     & info [] ~docv:"FILE"
         ~doc:
           "Artifacts to validate: checkpoints (--checkpoint), JSONL \
-           traces (--trace), structural profiles (--profile) and \
-           strategy ledgers (--ledger).")
+           traces (--trace) and structural profiles (--profile).")
 
 let fsck_cmd =
   let action files =

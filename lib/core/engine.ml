@@ -20,10 +20,6 @@ type t = {
      unless set_profile attached a live one — the cadence probe
      [Obs.Dd_profile.due] is the first action at every emission site *)
   mutable profile : Obs.Dd_profile.sink;
-  (* per-window strategy cost ledger; Obs.Ledger.null (disabled,
-     zero-cost) unless set_ledger attached a live one — every recording
-     site below checks [Obs.Ledger.is_on] first *)
-  mutable ledger : Obs.Ledger.t;
   (* invariant-auditor cadence in applied gates; 0 = off (the default),
      in which case the per-gate probe is one load and one branch *)
   mutable audit_every : int;
@@ -42,6 +38,26 @@ type t = {
 
 and reorder_policy = Reorder_off | Reorder_once | Reorder_adaptive
 
+(* A strategy window of [run], open until its [Obs.Trace.Window] span is
+   emitted: a sequential stretch, a combination window (degraded when a
+   guard budget trips), or a repeat block applied [count] times. *)
+type window_kind =
+  | Stretch
+  | Combined
+  | Degraded of string  (* the tripped budget *)
+  | Repeated of { len : int; count : int }
+
+type window = {
+  opened : float;  (* trace time at open *)
+  start : int;  (* first gate covered *)
+  nodes_before : int;
+  kind : window_kind;
+}
+
+(* sequential stretches close every [stretch_gates] gates, so a long run
+   samples the memory gauges along the way *)
+let stretch_gates = 256
+
 let create ?(seed = 0xDD) ?context n =
   if n <= 0 then
     Error.invalid_parameter ~what:"Engine.create"
@@ -59,7 +75,6 @@ let create ?(seed = 0xDD) ?context n =
     fused_apply = true;
     trace = Obs.Trace.null;
     profile = Obs.Dd_profile.null;
-    ledger = Obs.Ledger.null;
     audit_every = 0;
     audit_tol = 1e-6;
     last_audit = 0;
@@ -107,8 +122,6 @@ let set_trace engine trace =
 let trace engine = engine.trace
 let set_profile engine sink = engine.profile <- sink
 let profile engine = engine.profile
-let set_ledger engine sink = engine.ledger <- sink
-let ledger engine = engine.ledger
 
 let set_audit engine ?(tolerance = 1e-6) every =
   if every < 0 then
@@ -310,21 +323,14 @@ let note_matrix_peak engine matrix =
       max engine.stats.peak_matrix_nodes (Dd.Mdd.node_count matrix)
 
 let gate_dd engine (gate : Gate.t) =
-  let led = engine.ledger in
-  let ledgered = Obs.Ledger.is_on led in
-  let t0 = if ledgered then Obs.Clock.now () else 0. in
   let controls =
     List.map
       (fun (c : Gate.control) ->
         { Dd.Mdd.c_qubit = c.qubit; c_positive = c.positive })
       gate.controls
   in
-  let matrix =
-    Dd.Mdd.gate engine.context ~n:engine.n ~target:gate.target ~controls
-      (Gate.matrix gate.kind)
-  in
-  if ledgered then Obs.Ledger.add_build led (Obs.Clock.now () -. t0);
-  matrix
+  Dd.Mdd.gate engine.context ~n:engine.n ~target:gate.target ~controls
+    (Gate.matrix gate.kind)
 
 (* Per-op compute-table deltas: each multiplication kind is attributed to
    its primary memo table (mul_mv / apply / mul_mm).  Recursive helpers
@@ -342,23 +348,14 @@ let table_delta table (hits0, lookups0) =
 let apply_matrix engine matrix =
   let trace = engine.trace in
   let traced = Obs.Trace.is_on trace in
-  let led = engine.ledger in
-  let ledgered = Obs.Ledger.is_on led in
   let t0 = if traced then Obs.Trace.now trace else 0. in
-  let lt0 = if ledgered then Obs.Clock.now () else 0. in
   let table = engine.context.Dd.Context.mul_mv in
-  let mark = table_mark (traced || ledgered) table in
+  let mark = table_mark traced table in
   engine.state_edge <- Dd.Mdd.apply engine.context matrix engine.state_edge;
   engine.stats.mat_vec_mults <- engine.stats.mat_vec_mults + 1;
   engine.stats.generic_applies <- engine.stats.generic_applies + 1;
   note_matrix_peak engine matrix;
   note_state_peak engine;
-  if ledgered then begin
-    Obs.Ledger.add_apply led (Obs.Clock.now () -. lt0);
-    let hits, misses = table_delta table mark in
-    Obs.Ledger.add_traffic led ~hits ~misses;
-    Obs.Ledger.note_matrix led (Dd.Mdd.node_count matrix)
-  end;
   if traced then begin
     let hits, misses = table_delta table mark in
     Obs.Trace.span trace Obs.Trace.Mat_vec ~t0
@@ -375,12 +372,9 @@ let apply_matrix engine matrix =
 let apply_structured engine (gate : Gate.t) =
   let trace = engine.trace in
   let traced = Obs.Trace.is_on trace in
-  let led = engine.ledger in
-  let ledgered = Obs.Ledger.is_on led in
   let t0 = if traced then Obs.Trace.now trace else 0. in
-  let lt0 = if ledgered then Obs.Clock.now () else 0. in
   let table = engine.context.Dd.Context.apply_v in
-  let mark = table_mark (traced || ledgered) table in
+  let mark = table_mark traced table in
   let controls =
     List.map
       (fun (c : Gate.control) ->
@@ -393,11 +387,6 @@ let apply_structured engine (gate : Gate.t) =
   engine.stats.mat_vec_mults <- engine.stats.mat_vec_mults + 1;
   engine.stats.fast_path_applies <- engine.stats.fast_path_applies + 1;
   note_state_peak engine;
-  if ledgered then begin
-    Obs.Ledger.add_apply led (Obs.Clock.now () -. lt0);
-    let hits, misses = table_delta table mark in
-    Obs.Ledger.add_traffic led ~hits ~misses
-  end;
   if traced then begin
     let hits, misses = table_delta table mark in
     Obs.Trace.span trace Obs.Trace.Mat_vec ~t0
@@ -425,21 +414,12 @@ let apply_gate engine gate =
 let multiply_onto engine gate product =
   let trace = engine.trace in
   let traced = Obs.Trace.is_on trace in
-  let led = engine.ledger in
-  let ledgered = Obs.Ledger.is_on led in
   let t0 = if traced then Obs.Trace.now trace else 0. in
-  let lt0 = if ledgered then Obs.Clock.now () else 0. in
   let table = engine.context.Dd.Context.mul_mm in
-  let mark = table_mark (traced || ledgered) table in
+  let mark = table_mark traced table in
   engine.stats.mat_mat_mults <- engine.stats.mat_mat_mults + 1;
   let result = Dd.Mdd.mul engine.context gate product in
   note_matrix_peak engine result;
-  if ledgered then begin
-    Obs.Ledger.add_build led (Obs.Clock.now () -. lt0);
-    let hits, misses = table_delta table mark in
-    Obs.Ledger.add_traffic led ~hits ~misses;
-    Obs.Ledger.note_matrix led (Dd.Mdd.node_count result)
-  end;
   if traced then begin
     let hits, misses = table_delta table mark in
     Obs.Trace.span trace Obs.Trace.Mat_mat ~t0
@@ -613,32 +593,55 @@ let run ?(strategy = Strategy.Sequential) ?(use_repeating = false)
     | None -> fun _ -> false
     | Some limit -> fun product -> Dd.Mdd.node_count product > limit
   in
-  let led = engine.ledger in
-  let ledgered = Obs.Ledger.is_on led in
-  (* Commit the open ledger entry with end-of-window gauges.  Commits
-     live at the flush call sites, not inside [flush]: a breached
-     K-window flushes its partial product but the (degraded) entry must
-     stay open through the sequential tail that finishes the window. *)
-  let led_commit () =
-    if ledgered && Obs.Ledger.active led then begin
-      let heap = (Gc.quick_stat ()).Gc.live_words in
-      Obs.Ledger.commit led ~gate_end:!applied
-        ~state_nodes:(Dd.Vdd.node_count engine.state_edge)
-        ~heap_words:heap
-        ~table_bytes:(Dd.Context.residency_bytes ctx)
-    end
-  in
-  let led_open ~seq () =
-    if ledgered then begin
-      if Obs.Ledger.active led then led_commit ();
-      Obs.Ledger.open_entry led ~seq ~gate:!applied
-        ~state_nodes:(Dd.Vdd.node_count engine.state_edge)
-    end
-  in
   let fallback_detail () =
     match guard.Guard.max_matrix_nodes with
     | Some limit -> Printf.sprintf "max_matrix_nodes %d" limit
     | None -> "matrix budget"
+  in
+  (* The open strategy window, traced runs only.  Closes live at the
+     flush call sites, not inside [flush]: a breached K-window flushes
+     its partial product but stays open (degraded) through the
+     sequential tail that finishes it. *)
+  let window = ref None in
+  let close_window () =
+    match !window with
+    | None -> ()
+    | Some w ->
+      window := None;
+      let strategy, detail =
+        match w.kind with
+        | Stretch -> (Obs.Ledger.Mat_vec, "")
+        | Combined -> (Obs.Ledger.Mat_mat (!applied - w.start), "")
+        | Degraded budget -> (Obs.Ledger.Fallback, budget)
+        | Repeated { len; count } ->
+          ( Obs.Ledger.Mat_mat len,
+            Printf.sprintf "repeat block of %d gates x %d" len count )
+      in
+      Obs.Trace.window trace ~t0:w.opened ~gate_end:!applied
+        ~state_nodes:(Dd.Vdd.node_count engine.state_edge)
+        ~heap_words:(Gc.quick_stat ()).Gc.live_words
+        ~table_bytes:(Dd.Context.residency_bytes ctx)
+        ~detail:
+          (Obs.Ledger.window_detail strategy ~gate_start:w.start
+             ~state_nodes_before:w.nodes_before detail)
+  in
+  let open_window kind =
+    if traced then begin
+      close_window ();
+      window :=
+        Some
+          {
+            opened = Obs.Trace.now trace;
+            start = !applied;
+            nodes_before = Dd.Vdd.node_count engine.state_edge;
+            kind;
+          }
+    end
+  in
+  let degrade_window () =
+    match !window with
+    | Some w -> window := Some { w with kind = Degraded (fallback_detail ()) }
+    | None -> ()
   in
   let flush () =
     match !pending with
@@ -714,33 +717,28 @@ let run ?(strategy = Strategy.Sequential) ?(use_repeating = false)
   let absorb_dispatch gate =
     match strategy with
     | Strategy.Sequential ->
-      if ledgered then begin
-        if not (Obs.Ledger.active led) then led_open ~seq:true ();
-        Obs.Ledger.add_gates led 1
-      end;
+      if traced && Option.is_none !window then open_window Stretch;
       apply_gate_single engine gate;
       incr applied;
-      (* long sequential stretches rotate into fresh entries so the
-         ledger samples memory gauges along the way *)
-      if ledgered && Obs.Ledger.rotate_due led then led_commit ();
+      (* long sequential stretches rotate into fresh windows so the
+         trace samples memory gauges along the way *)
+      (match !window with
+      | Some w when !applied - w.start >= stretch_gates -> close_window ()
+      | _ -> ());
       after_state_update ()
     | Strategy.K_operations k ->
       if !fallback_left > 0 then begin
         decr fallback_left;
-        if ledgered then Obs.Ledger.add_gates led 1;
         apply_gate_single engine gate;
         incr applied;
-        (* the degraded window's entry closes with its last tail gate *)
-        if ledgered && !fallback_left = 0 then led_commit ();
+        (* the degraded window closes with its last tail gate *)
+        if !fallback_left = 0 then close_window ();
         after_state_update ()
       end
       else begin
         (match !pending with
         | None ->
-          if ledgered then begin
-            led_open ~seq:false ();
-            Obs.Ledger.add_gates led 1
-          end;
+          open_window Combined;
           pending := Some (gate_dd engine gate);
           pending_count := 1
         | Some product ->
@@ -748,61 +746,50 @@ let run ?(strategy = Strategy.Sequential) ?(use_repeating = false)
             (* graceful degradation: flush the oversized partial product
                and apply the remaining gates of this window one by one *)
             note_fallback ();
-            if ledgered then begin
-              Obs.Ledger.degrade led ~detail:(fallback_detail ());
-              Obs.Ledger.add_gates led 1
-            end;
+            degrade_window ();
             fallback_left := max 0 (k - !pending_count - 1);
             flush ();
             apply_gate_single engine gate;
             incr applied;
-            if ledgered && !fallback_left = 0 then led_commit ()
+            if !fallback_left = 0 then close_window ()
           end
           else begin
-            if ledgered then Obs.Ledger.add_gates led 1;
             pending := Some (multiply_onto engine (gate_dd engine gate) product);
             incr pending_count
           end);
         if !pending_count >= k then begin
           flush ();
-          led_commit ()
+          close_window ()
         end;
         if Option.is_none !pending then after_state_update ()
       end
     | Strategy.Max_size bound ->
       (match !pending with
       | None ->
-        if ledgered then begin
-          led_open ~seq:false ();
-          Obs.Ledger.add_gates led 1
-        end;
+        open_window Combined;
         let gate_matrix = gate_dd engine gate in
         pending := Some gate_matrix;
         pending_count := 1;
         if Dd.Mdd.node_count gate_matrix > bound then begin
           flush ();
-          led_commit ()
+          close_window ()
         end
       | Some product ->
         if matrix_over product then begin
           note_fallback ();
-          if ledgered then begin
-            Obs.Ledger.degrade led ~detail:(fallback_detail ());
-            Obs.Ledger.add_gates led 1
-          end;
+          degrade_window ();
           flush ();
           apply_gate_single engine gate;
           incr applied;
-          led_commit ()
+          close_window ()
         end
         else begin
-          if ledgered then Obs.Ledger.add_gates led 1;
           let product = multiply_onto engine (gate_dd engine gate) product in
           pending := Some product;
           incr pending_count;
           if Dd.Mdd.node_count product > bound then begin
             flush ();
-            led_commit ()
+            close_window ()
           end
         end);
       if Option.is_none !pending then after_state_update ()
@@ -851,20 +838,13 @@ let run ?(strategy = Strategy.Sequential) ?(use_repeating = false)
         end;
         if !todo > 0 then begin
           flush ();
-          led_commit ();
-          led_open ~seq:false ();
+          (* one combined k-gate matrix applied [todo] times: the window
+             records the build k and covers every repetition, so
+             per-gate amortization reflects the reuse *)
+          open_window (Repeated { len; count = !todo });
           let block = combine engine gates in
           engine.stats.combined_applications <-
             engine.stats.combined_applications + !todo;
-          if ledgered then begin
-            (* one combined k-gate matrix applied [todo] times: record
-               the build k, attribute every covered gate so per-gate
-               amortization reflects the reuse *)
-            Obs.Ledger.set_window_k led len;
-            Obs.Ledger.add_gates led (len * !todo);
-            Obs.Ledger.note_detail led
-              (Printf.sprintf "repeat block of %d gates x %d" len !todo)
-          end;
           block_root := Some block;
           for _ = 1 to !todo do
             if guarded then deadline_check ();
@@ -880,7 +860,7 @@ let run ?(strategy = Strategy.Sequential) ?(use_repeating = false)
                 ~detail:(Printf.sprintf "repeat block of %d gates" len);
             after_state_update ()
           done;
-          led_commit ();
+          close_window ();
           block_root := None
         end
       end
@@ -897,11 +877,9 @@ let run ?(strategy = Strategy.Sequential) ?(use_repeating = false)
   Fun.protect
     ~finally:(fun () ->
       (* closes the trailing sequential stretch of a normal run and the
-         open entry of an aborted one (budget exhaustion raises out of
-         [walk]); a no-op when everything already committed *)
-      led_commit ();
-      if ledgered then
-        engine.stats.ledger_entries <- Obs.Ledger.length led;
+         open window of an aborted one (budget exhaustion raises out of
+         [walk]); a no-op when everything already closed *)
+      close_window ();
       engine.stats.wall_time_seconds <-
         engine.stats.wall_time_seconds +. (Obs.Clock.now () -. run_t0);
       if traced then
@@ -909,7 +887,7 @@ let run ?(strategy = Strategy.Sequential) ?(use_repeating = false)
     (fun () ->
       List.iter walk Circuit.(circuit.ops);
       flush ();
-      led_commit ();
+      close_window ();
       (* one final snapshot so the profile always covers the end state,
          whatever the cadence *)
       if

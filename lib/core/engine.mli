@@ -57,7 +57,9 @@ val set_trace : t -> Obs.Trace.t -> unit
 (** Attach an event sink to the engine *and* its DD context: gate
     applications, multiplications, window flushes, fallbacks,
     renormalizations, checkpoints, measurements and garbage collections
-    are recorded as typed {!Obs.Trace} events.  The default is
+    are recorded as typed {!Obs.Trace} events, and {!run} brackets every
+    strategy window in an [Obs.Trace.Window] span ({!Obs.Ledger} folds
+    those into per-window costs).  The default is
     {!Obs.Trace.null} — disabled, and every instrumentation site reduces
     to one flag check.  Pass [Obs.Trace.null] to detach. *)
 
@@ -73,17 +75,6 @@ val set_profile : t -> Obs.Dd_profile.sink -> unit
     zero allocation.  Pass {!Obs.Dd_profile.null} to detach. *)
 
 val profile : t -> Obs.Dd_profile.sink
-
-val set_ledger : t -> Obs.Ledger.t -> unit
-(** Attach a strategy cost ledger: {!run} opens one {!Obs.Ledger.entry}
-    per combination window (and per sequential/fast-path stretch between
-    windows) and attributes build seconds, apply seconds, matrix-DD
-    peaks, memo-table traffic and end-of-window memory gauges to it.
-    The default is {!Obs.Ledger.null} — disabled, and every recording
-    site reduces to one flag check with zero allocation.  Pass
-    {!Obs.Ledger.null} to detach. *)
-
-val ledger : t -> Obs.Ledger.t
 
 val set_audit : t -> ?tolerance:float -> int -> unit
 (** [set_audit engine k] arms the invariant auditor ({!Dd.Audit}) at a

@@ -67,6 +67,20 @@ let check_trace ~path text =
                      e.gate_index !last)
             else last := e.gate_index)
       events;
+    (* strategy windows: the fold must decode every window header, and
+       no window may close before it opens *)
+    (if !bad = None then
+       match Obs.Ledger.entries run with
+       | windows ->
+         List.iter
+           (fun (w : Obs.Ledger.entry) ->
+             if !bad = None && w.gate_end < w.gate_start then
+               bad :=
+                 Some
+                   (Printf.sprintf "window %d: gate range [%d,%d) is inverted"
+                      w.index w.gate_start w.gate_end))
+           windows
+       | exception Failure message -> bad := Some message);
     (match !bad with
     | Some detail -> fail ~path ~family:"trace" detail
     | None ->
@@ -100,39 +114,6 @@ let check_profile ~path text =
            (no_trailer_note text)))
   | exception Failure message -> fail ~path ~family:"profile" message
 
-let check_ledger ~path text =
-  match Obs.Ledger.parse_jsonl text with
-  | run ->
-    let entries = run.Obs.Ledger.run_entries in
-    let bad = ref None in
-    let last_start = ref min_int in
-    List.iteri
-      (fun i (e : Obs.Ledger.entry) ->
-        if !bad = None then
-          if e.Obs.Ledger.gate_end < e.Obs.Ledger.gate_start then
-            bad :=
-              Some
-                (Printf.sprintf "entry %d: gate range [%d,%d) is inverted" i
-                   e.Obs.Ledger.gate_start e.Obs.Ledger.gate_end)
-          else if e.Obs.Ledger.build_seconds < 0. || e.Obs.Ledger.apply_seconds < 0.
-          then
-            bad := Some (Printf.sprintf "entry %d carries a negative duration" i)
-          else if e.Obs.Ledger.gate_start < !last_start then
-            bad :=
-              Some
-                (Printf.sprintf
-                   "entry %d: gate start %d goes backwards (after %d)" i
-                   e.Obs.Ledger.gate_start !last_start)
-          else last_start := e.Obs.Ledger.gate_start)
-      entries;
-    (match !bad with
-    | Some detail -> fail ~path ~family:"ledger" detail
-    | None ->
-      pass ~path ~family:"ledger"
-        (Printf.sprintf "%d entries%s" (List.length entries)
-           (no_trailer_note text)))
-  | exception Failure message -> fail ~path ~family:"ledger" message
-
 let check_file ~path =
   match read_file path with
   | exception Sys_error message -> fail ~path ~family:"unknown" message
@@ -147,7 +128,6 @@ let check_file ~path =
         match Obs.Json.member header "schema" with
         | Some (Obs.Json.Str "ddsim-trace") -> check_trace ~path text
         | Some (Obs.Json.Str "ddsim-profile") -> check_profile ~path text
-        | Some (Obs.Json.Str "ddsim-ledger") -> check_ledger ~path text
         | Some (Obs.Json.Str s) ->
           fail ~path ~family:"unknown"
             (Printf.sprintf "unrecognised schema %S" s)

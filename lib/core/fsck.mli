@@ -1,13 +1,13 @@
 (** Artifact validation — the library behind [ddsim fsck].
 
     Every sidecar the toolchain writes (checkpoints, JSONL traces,
-    JSONL structural profiles, JSONL strategy ledgers) is written
-    crash-safely
+    JSONL structural profiles) is written crash-safely
     ({!Obs.Safe_io}) and carries a checksum trailer; [fsck] closes the
     loop by re-validating files at rest: the checksum, the schema, the
     full parse (checkpoints are reconstructed into a throwaway DD
     context), and cheap semantic invariants — gate indices must never
-    go backwards, durations must be non-negative.
+    go backwards, durations must be non-negative, and no strategy
+    window's gate range may be inverted.
 
     A report never raises: every corruption mode is folded into
     [ok = false] with a human-readable detail naming the fault. *)
@@ -15,8 +15,7 @@
 type report = {
   path : string;
   family : string;
-      (** ["checkpoint"], ["trace"], ["profile"], ["ledger"],
-          ["unknown"] *)
+      (** ["checkpoint"], ["trace"], ["profile"], ["unknown"] *)
   ok : bool;
   detail : string;
       (** on success a one-line summary; on failure the located fault *)

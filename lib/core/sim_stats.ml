@@ -22,7 +22,6 @@ type t = {
   mutable reorder_swaps : int;
   mutable reorder_nodes_before : int;
   mutable reorder_nodes_after : int;
-  mutable ledger_entries : int;
 }
 
 let create () =
@@ -50,7 +49,6 @@ let create () =
     reorder_swaps = 0;
     reorder_nodes_before = 0;
     reorder_nodes_after = 0;
-    ledger_entries = 0;
   }
 
 let reset stats =
@@ -76,8 +74,7 @@ let reset stats =
   stats.reorders_run <- 0;
   stats.reorder_swaps <- 0;
   stats.reorder_nodes_before <- 0;
-  stats.reorder_nodes_after <- 0;
-  stats.ledger_entries <- 0
+  stats.reorder_nodes_after <- 0
 
 let copy stats = { stats with mat_vec_mults = stats.mat_vec_mults }
 
@@ -104,8 +101,7 @@ let assign dst src =
   dst.reorders_run <- src.reorders_run;
   dst.reorder_swaps <- src.reorder_swaps;
   dst.reorder_nodes_before <- src.reorder_nodes_before;
-  dst.reorder_nodes_after <- src.reorder_nodes_after;
-  dst.ledger_entries <- src.ledger_entries
+  dst.reorder_nodes_after <- src.reorder_nodes_after
 
 let pp fmt stats =
   let fast_pct =
@@ -144,6 +140,4 @@ let pp fmt stats =
     Format.fprintf fmt
       " reorders=%d reorder-swaps=%d reorder-nodes=%d->%d"
       stats.reorders_run stats.reorder_swaps stats.reorder_nodes_before
-      stats.reorder_nodes_after;
-  if stats.ledger_entries > 0 then
-    Format.fprintf fmt " ledger-entries=%d" stats.ledger_entries
+      stats.reorder_nodes_after

@@ -58,10 +58,6 @@ type t = {
       (** cumulative state-DD node count entering reordering passes *)
   mutable reorder_nodes_after : int;
       (** cumulative state-DD node count leaving reordering passes *)
-  mutable ledger_entries : int;
-      (** entries committed to the attached {!Obs.Ledger} ([--ledger]);
-          [0] when no ledger is attached.  Observability-only: not
-          persisted in checkpoints. *)
 }
 
 val create : unit -> t

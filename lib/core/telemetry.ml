@@ -36,7 +36,6 @@ let populate registry engine =
     stats.Sim_stats.reorder_nodes_before;
   set_count registry "sim.reorder_nodes_after"
     stats.Sim_stats.reorder_nodes_after;
-  set_count registry "sim.ledger_entries" stats.Sim_stats.ledger_entries;
   set_value registry "sim.wall_time_seconds" stats.Sim_stats.wall_time_seconds;
   set_count registry "nodes.live_vector" (Dd.Context.live_v_nodes ctx);
   set_count registry "nodes.live_matrix" (Dd.Context.live_m_nodes ctx);

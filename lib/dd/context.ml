@@ -185,7 +185,7 @@ let unique_table_bytes ctx =
     + (Ctable.size ctx.ctable * cnum_entry_words))
 
 (* O(1): every Compute_table.length is one field read, never the
-   [table_stats] allocation path — this runs on the ledger commit path. *)
+   [table_stats] allocation path — this runs at every traced window close. *)
 let compute_table_bytes ctx =
   let entries =
     Compute_table.length ctx.add_v

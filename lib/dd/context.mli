@@ -119,7 +119,7 @@ val compute_table_bytes : t -> int
 
 val residency_bytes : t -> int
 (** {!unique_table_bytes} + {!compute_table_bytes} — the [mem.*]
-    telemetry gauge and the ledger's per-window memory column. *)
+    telemetry gauge and the per-window memory gauge of trace windows. *)
 
 val gc_stats : t -> gc_stats
 

@@ -18,322 +18,122 @@ type entry = {
   detail : string;
 }
 
-(* -- sink ------------------------------------------------------------- *)
+(* -- the fold over a trace ---------------------------------------------- *)
 
-type t = {
-  mutable on : bool;
-  max_entries : int;
-  stretch : int;
-  mutable count : int;  (* retained commits *)
-  mutable drop_count : int;  (* commits past [max_entries] *)
-  mutable items : entry list;  (* reversed *)
-  mutable total_build : float;  (* over every commit, never reset *)
-  mutable total_apply : float;
-  (* the open accumulator entry *)
-  mutable cur_open : bool;
-  mutable cur_opened : float;  (* wall clock at [open_entry] *)
-  mutable cur_seq : bool;
-  mutable cur_fallback : bool;
-  mutable cur_k : int;  (* explicit window k; -1 = use [cur_gates] *)
-  mutable cur_detail : string;
-  mutable cur_gate_start : int;
-  mutable cur_gates : int;
-  mutable cur_build : float;
-  mutable cur_apply : float;
-  mutable cur_peak_matrix : int;  (* -1 when no matrix DD materialised *)
-  mutable cur_state_before : int;
-  mutable cur_hits : int;
-  mutable cur_misses : int;
-}
-
-let make ~on ~max_entries ~stretch =
-  {
-    on;
-    max_entries;
-    stretch;
-    count = 0;
-    drop_count = 0;
-    items = [];
-    total_build = 0.;
-    total_apply = 0.;
-    cur_open = false;
-    cur_opened = 0.;
-    cur_seq = false;
-    cur_fallback = false;
-    cur_k = -1;
-    cur_detail = "";
-    cur_gate_start = 0;
-    cur_gates = 0;
-    cur_build = 0.;
-    cur_apply = 0.;
-    cur_peak_matrix = -1;
-    cur_state_before = 0;
-    cur_hits = 0;
-    cur_misses = 0;
-  }
-
-let null = make ~on:false ~max_entries:0 ~stretch:max_int
-
-let create ?(max_entries = 65536) ?(stretch = 256) () =
-  if stretch < 1 then invalid_arg "Ledger.create: stretch must be >= 1";
-  make ~on:true ~max_entries ~stretch
-
-(* the disabled path must not allocate: one load, one branch *)
-let is_on t = t.on
-let active t = t.on && t.cur_open
-
-let open_entry t ~seq ~gate ~state_nodes =
-  if t.on then begin
-    if t.cur_open then invalid_arg "Ledger.open_entry: entry already open";
-    t.cur_open <- true;
-    t.cur_opened <- Clock.now ();
-    t.cur_seq <- seq;
-    t.cur_fallback <- false;
-    t.cur_k <- -1;
-    t.cur_detail <- "";
-    t.cur_gate_start <- gate;
-    t.cur_gates <- 0;
-    t.cur_build <- 0.;
-    t.cur_apply <- 0.;
-    t.cur_peak_matrix <- -1;
-    t.cur_state_before <- state_nodes;
-    t.cur_hits <- 0;
-    t.cur_misses <- 0
-  end
-
-let add_gates t n = if t.on && t.cur_open then t.cur_gates <- t.cur_gates + n
-let add_build t dt = if t.on && t.cur_open then t.cur_build <- t.cur_build +. dt
-let add_apply t dt = if t.on && t.cur_open then t.cur_apply <- t.cur_apply +. dt
-
-let add_traffic t ~hits ~misses =
-  if t.on && t.cur_open then begin
-    t.cur_hits <- t.cur_hits + hits;
-    t.cur_misses <- t.cur_misses + misses
-  end
-
-let note_matrix t nodes =
-  if t.on && t.cur_open && nodes > t.cur_peak_matrix then
-    t.cur_peak_matrix <- nodes
-
-let degrade t ~detail =
-  if t.on && t.cur_open then begin
-    t.cur_fallback <- true;
-    t.cur_detail <- detail
-  end
-
-let note_detail t detail = if t.on && t.cur_open then t.cur_detail <- detail
-let set_window_k t k = if t.on && t.cur_open then t.cur_k <- k
-
-let rotate_due t =
-  t.on && t.cur_open && t.cur_seq && t.cur_gates >= t.stretch
-
-let commit t ~gate_end ~state_nodes ~heap_words ~table_bytes =
-  if t.on && t.cur_open then begin
-    (* the kernel spans (gate-DD builds, matrix products, applications)
-       never cover the whole window: dispatch, guard checks and window
-       bookkeeping run between them.  Fold that slack into the bucket
-       that owns the window's machinery — build for combination windows,
-       apply for sequential stretches — so summed build+apply tracks the
-       wall clock instead of undercounting it. *)
-    let span = Clock.now () -. t.cur_opened in
-    let slack = Float.max 0. (span -. t.cur_build -. t.cur_apply) in
-    if t.cur_seq then t.cur_apply <- t.cur_apply +. slack
-    else t.cur_build <- t.cur_build +. slack;
-    let strategy =
-      if t.cur_fallback then Fallback
-      else if t.cur_seq then Mat_vec
-      else Mat_mat (if t.cur_k >= 0 then t.cur_k else t.cur_gates)
-    in
-    let entry =
-      {
-        index = t.count + t.drop_count;
-        strategy;
-        gate_start = t.cur_gate_start;
-        gate_end;
-        gates = t.cur_gates;
-        build_seconds = t.cur_build;
-        apply_seconds = t.cur_apply;
-        peak_matrix_nodes = t.cur_peak_matrix;
-        state_nodes_before = t.cur_state_before;
-        state_nodes_after = state_nodes;
-        hits = t.cur_hits;
-        misses = t.cur_misses;
-        heap_live_words = heap_words;
-        table_bytes;
-        detail = t.cur_detail;
-      }
-    in
-    t.total_build <- t.total_build +. t.cur_build;
-    t.total_apply <- t.total_apply +. t.cur_apply;
-    if t.count >= t.max_entries then t.drop_count <- t.drop_count + 1
-    else begin
-      t.items <- entry :: t.items;
-      t.count <- t.count + 1
-    end;
-    t.cur_open <- false
-  end
-
-let length t = t.count
-let dropped t = t.drop_count
-let entries t = List.rev t.items
-let total_build_seconds t = t.total_build
-let total_apply_seconds t = t.total_apply
-
-(* -- JSONL sidecar ---------------------------------------------------- *)
-
-let schema = "ddsim-ledger"
-let version = 1
-
-type run = {
-  run_version : int;
-  run_meta : (string * string) list;
-  run_dropped : int;
-  run_entries : entry list;
-}
-
-let strategy_name = function
+let strategy_header = function
   | Mat_vec -> "mat_vec"
-  | Mat_mat _ -> "mat_mat"
+  | Mat_mat k -> Printf.sprintf "mat_mat k=%d" k
   | Fallback -> "fallback"
 
-let entry_to_json e =
-  let buffer = Buffer.create 256 in
-  Buffer.add_string buffer
-    (Printf.sprintf "{\"i\":%d,\"strategy\":\"%s\"" e.index
-       (strategy_name e.strategy));
-  (match e.strategy with
-  | Mat_mat k -> Buffer.add_string buffer (Printf.sprintf ",\"k\":%d" k)
-  | Mat_vec | Fallback -> ());
-  Buffer.add_string buffer
-    (Printf.sprintf
-       ",\"gates\":%d,\"gate_start\":%d,\"gate_end\":%d,\"build_s\":%.9g,\"apply_s\":%.9g,\"peak_matrix_nodes\":%d,\"state_nodes_before\":%d,\"state_nodes_after\":%d,\"hits\":%d,\"misses\":%d,\"heap_live_words\":%d,\"table_bytes\":%d"
-       e.gates e.gate_start e.gate_end e.build_seconds e.apply_seconds
-       e.peak_matrix_nodes e.state_nodes_before e.state_nodes_after e.hits
-       e.misses e.heap_live_words e.table_bytes);
-  if e.detail <> "" then
-    Buffer.add_string buffer
-      (Printf.sprintf ",\"detail\":\"%s\"" (Json.escape e.detail));
-  Buffer.add_char buffer '}';
-  Buffer.contents buffer
+let window_detail strategy ~gate_start ~state_nodes_before detail =
+  Printf.sprintf "%s start=%d before=%d%s" (strategy_header strategy)
+    gate_start state_nodes_before
+    (if detail = "" then "" else "; " ^ detail)
 
-let meta_json meta =
-  "{"
-  ^ String.concat ","
-      (List.map
-         (fun (k, v) ->
-           Printf.sprintf "\"%s\":\"%s\"" (Json.escape k) (Json.escape v))
-         meta)
-  ^ "}"
-
-let jsonl ?(meta = []) t =
-  let buffer = Buffer.create 4096 in
-  Buffer.add_string buffer
-    (Printf.sprintf
-       "{\"schema\":\"%s\",\"version\":%d,\"entries\":%d,\"dropped\":%d,\"meta\":%s}\n"
-       schema version t.count t.drop_count (meta_json meta));
-  List.iter
-    (fun e ->
-      Buffer.add_string buffer (entry_to_json e);
-      Buffer.add_char buffer '\n')
-    (entries t);
-  (* checksum trailer: lets [ddsim fsck] detect truncation/garbling *)
-  let body = Buffer.contents buffer in
-  body ^ Safe_io.jsonl_trailer body
-
-let located line_number message =
-  failwith (Printf.sprintf "ledger:%d: %s" line_number message)
-
-let int_field json key ~default =
-  match Json.member json key with
-  | Some (Json.Num v) -> int_of_float v
-  | _ -> default
-
-let num_field json key ~default =
-  match Json.member json key with Some (Json.Num v) -> v | _ -> default
-
-let str_field json key ~default =
-  match Json.member json key with Some (Json.Str s) -> s | _ -> default
-
-let parse_entry json =
-  let gates = int_field json "gates" ~default:0 in
-  let strategy =
-    match str_field json "strategy" ~default:"" with
-    | "mat_vec" -> Mat_vec
-    | "mat_mat" -> Mat_mat (int_field json "k" ~default:gates)
-    | "fallback" -> Fallback
-    | s -> failwith (Printf.sprintf "unknown strategy %S" s)
+(* inverse of [window_detail]; the header itself never contains ';' *)
+let parse_window_detail text =
+  let header, detail =
+    match String.index_opt text ';' with
+    | Some i ->
+      ( String.sub text 0 i,
+        String.trim (String.sub text (i + 1) (String.length text - i - 1)) )
+    | None -> (text, "")
   in
+  let malformed () =
+    failwith (Printf.sprintf "malformed window detail %S" text)
+  in
+  match String.split_on_char ' ' header with
+  | [] -> malformed ()
+  | name :: fields ->
+    let field key =
+      match
+        List.find_map
+          (fun f ->
+            match String.split_on_char '=' f with
+            | [ k; v ] when k = key -> int_of_string_opt v
+            | _ -> None)
+          fields
+      with
+      | Some v -> v
+      | None -> malformed ()
+    in
+    let strategy =
+      match name with
+      | "mat_vec" -> Mat_vec
+      | "mat_mat" -> Mat_mat (field "k")
+      | "fallback" -> Fallback
+      | _ -> malformed ()
+    in
+    (strategy, field "start", field "before", detail)
+
+let entry_of_window index (window : Trace.event) children =
+  let strategy, gate_start, state_nodes_before, detail =
+    try parse_window_detail window.detail
+    with Failure message ->
+      failwith (Printf.sprintf "window %d: %s" index message)
+  in
+  let build, apply, peak, hits, misses =
+    List.fold_left
+      (fun (build, apply, peak, hits, misses) (c : Trace.event) ->
+        let build, apply =
+          if c.kind = Trace.Mat_mat then (build +. c.dur, apply)
+          else (build, apply +. c.dur)
+        in
+        ( build,
+          apply,
+          max peak c.matrix_nodes,
+          hits + c.hits,
+          misses + c.misses ))
+      (0., 0., -1, 0, 0) children
+  in
+  (* the kernel spans never cover the whole window: gate-DD construction,
+     dispatch, guard checks and window bookkeeping run between them.
+     Fold that slack into the bucket that owns the window's machinery —
+     apply for sequential stretches, build for everything else — so
+     summed build+apply tracks the wall clock instead of undercounting
+     it. *)
+  let slack = Float.max 0. (window.dur -. build -. apply) in
+  let build, apply =
+    if strategy = Mat_vec then (build, apply +. slack)
+    else (build +. slack, apply)
+  in
+  let gate_end = window.gate_index + 1 in
   {
-    index = int_field json "i" ~default:(-1);
+    index;
     strategy;
-    gate_start = int_field json "gate_start" ~default:0;
-    gate_end = int_field json "gate_end" ~default:0;
-    gates;
-    build_seconds = num_field json "build_s" ~default:0.;
-    apply_seconds = num_field json "apply_s" ~default:0.;
-    peak_matrix_nodes = int_field json "peak_matrix_nodes" ~default:(-1);
-    state_nodes_before = int_field json "state_nodes_before" ~default:0;
-    state_nodes_after = int_field json "state_nodes_after" ~default:0;
-    hits = int_field json "hits" ~default:0;
-    misses = int_field json "misses" ~default:0;
-    heap_live_words = int_field json "heap_live_words" ~default:0;
-    table_bytes = int_field json "table_bytes" ~default:0;
-    detail = str_field json "detail" ~default:"";
+    gate_start;
+    gate_end;
+    gates = gate_end - gate_start;
+    build_seconds = build;
+    apply_seconds = apply;
+    peak_matrix_nodes = peak;
+    state_nodes_before;
+    state_nodes_after = window.state_nodes;
+    hits;
+    misses;
+    heap_live_words = window.heap_words;
+    table_bytes = window.table_bytes;
+    detail;
   }
 
-let parse_jsonl text =
-  (* verify the checksum trailer when present (files written by hand or
-     truncated mid-write may lack one; they still parse) *)
-  let body, trailer = Safe_io.split_jsonl_trailer text in
-  (match trailer with
-  | Some expected when Safe_io.checksum body <> expected ->
-    failwith "ledger: checksum mismatch (file truncated or corrupted)"
-  | _ -> ());
-  let lines =
-    String.split_on_char '\n' body
-    |> List.mapi (fun i line -> (i + 1, line))
-    |> List.filter (fun (_, line) -> String.trim line <> "")
+let entries (run : Trace_report.run) =
+  (* [pending] holds the kernel spans since the previous window closed;
+     those that started before this window opened ran outside any window
+     (between [Engine.run] calls) and are not its children *)
+  let _, _, windows =
+    List.fold_left
+      (fun (pending, index, windows) (e : Trace.event) ->
+        match e.kind with
+        | Trace.Mat_vec | Trace.Mat_mat -> (e :: pending, index, windows)
+        | Trace.Window ->
+          let children =
+            List.filter (fun (c : Trace.event) -> c.t >= e.t) pending
+          in
+          ([], index + 1, entry_of_window index e children :: windows)
+        | _ -> (pending, index, windows))
+      ([], 0, []) run.events
   in
-  match lines with
-  | [] -> failwith "ledger: empty file"
-  | (header_line, header_text) :: rest ->
-    let header =
-      try Json.parse header_text
-      with Failure message -> located header_line message
-    in
-    (match Json.member header "schema" with
-    | Some (Json.Str s) when s = schema -> ()
-    | Some (Json.Str s) ->
-      located header_line (Printf.sprintf "unexpected schema %S" s)
-    | _ -> located header_line "header line is missing \"schema\"");
-    let run_version =
-      match Json.member header "version" with
-      | Some (Json.Num v) -> int_of_float v
-      | _ -> located header_line "header line is missing \"version\""
-    in
-    if run_version <> version then
-      located header_line
-        (Printf.sprintf "unsupported schema version %d (expected %d)"
-           run_version version);
-    let run_meta =
-      match Json.member header "meta" with
-      | Some (Json.Obj fields) ->
-        List.filter_map
-          (fun (k, v) ->
-            match v with Json.Str s -> Some (k, s) | _ -> None)
-          fields
-      | _ -> []
-    in
-    let run_dropped = int_field header "dropped" ~default:0 in
-    let run_entries =
-      List.map
-        (fun (line_number, line) ->
-          match parse_entry (Json.parse line) with
-          | entry -> entry
-          | exception Failure message -> located line_number message)
-        rest
-    in
-    { run_version; run_meta; run_dropped; run_entries }
+  List.rev windows
 
 (* -- aggregation ------------------------------------------------------- *)
 
@@ -450,20 +250,22 @@ let break_even entries =
 
 let mib bytes = float_of_int bytes /. (1024. *. 1024.)
 
-let explain ?(top = 5) run =
+let explain ?(top = 5) (run : Trace_report.run) =
   let buffer = Buffer.create 2048 in
   let line fmt = Printf.ksprintf (fun s -> Buffer.add_string buffer (s ^ "\n")) fmt in
-  line "ledger (schema %s v%d)" schema run.run_version;
-  if run.run_meta <> [] then
+  line "strategy windows (trace schema %s v%d)" Trace_export.schema
+    run.version;
+  if run.meta <> [] then
     line "meta: %s"
       (String.concat " "
-         (List.map (fun (k, v) -> Printf.sprintf "%s=%s" k v) run.run_meta));
-  let n = List.length run.run_entries in
-  line "entries: %d%s" n
-    (if run.run_dropped > 0 then
-       Printf.sprintf " (%d dropped past retention)" run.run_dropped
+         (List.map (fun (k, v) -> Printf.sprintf "%s=%s" k v) run.meta));
+  let entries = entries run in
+  line "windows: %d%s" (List.length entries)
+    (if run.dropped > 0 then
+       Printf.sprintf " (%d events dropped at capture; windows may be missing)"
+         run.dropped
      else "");
-  let t = totals run.run_entries in
+  let t = totals entries in
   line "";
   line "strategy totals (build = gate-DD construction + matrix products,";
   line "                 apply = matrix-vector application):";
@@ -473,8 +275,8 @@ let explain ?(top = 5) run =
     t.mm_entries t.mm_gates t.mm_build t.mm_apply (t.mm_build +. t.mm_apply);
   line "  fallback: %4d windows  %6d gates  build %8.4fs  apply %8.4fs  total %8.4fs"
     t.fb_entries t.fb_gates t.fb_build t.fb_apply (t.fb_build +. t.fb_apply);
-  let baseline = mat_vec_per_gate run.run_entries in
-  let groups = by_k run.run_entries in
+  let baseline = mat_vec_per_gate entries in
+  let groups = by_k entries in
   if groups <> [] then begin
     line "";
     line "amortization per window size:";
@@ -496,13 +298,13 @@ let explain ?(top = 5) run =
   (match baseline with
   | Some b -> line "mat-vec per-gate: %.6f s" b
   | None -> line "mat-vec per-gate: n/a (no sequential stretch in this run)");
-  (match break_even run.run_entries with
+  (match break_even entries with
   | Some k -> line "break-even k observed: %d (smallest window size beating mat-vec per-gate)" k
   | None -> line "break-even k observed: none");
   let expensive =
     List.filter
       (fun e -> e.build_seconds +. e.apply_seconds > 0. || e.gates > 0)
-      run.run_entries
+      entries
     |> List.sort (fun a b ->
            compare
              (b.build_seconds +. b.apply_seconds)
@@ -543,7 +345,7 @@ let explain ?(top = 5) run =
          Printf.sprintf " (largest matrix DD %d nodes)" t.peak_matrix
        else "")
   end;
-  (match List.assoc_opt "wall_seconds" run.run_meta with
+  (match List.assoc_opt "wall_seconds" run.meta with
   | Some w -> (
     match float_of_string_opt w with
     | Some wall when wall > 0. ->
@@ -551,7 +353,7 @@ let explain ?(top = 5) run =
         t.mv_build +. t.mv_apply +. t.mm_build +. t.mm_apply +. t.fb_build
         +. t.fb_apply
       in
-      line "ledger covers %.1f%% of wall clock (%.4fs of %.4fs)"
+      line "windows cover %.1f%% of wall clock (%.4fs of %.4fs)"
         (100. *. attributed /. wall)
         attributed wall
     | _ -> ())

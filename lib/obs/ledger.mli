@@ -1,29 +1,27 @@
-(** Per-window strategy cost ledger — the attribution layer behind
-    [--ledger] and [ddsim explain].
+(** Per-window strategy costs — the view behind [ddsim explain] and the
+    strategy lines of [ddsim diff], folded from a trace.
 
     The paper's trade-off (combine k gates into one matrix DD, paying
     k-1 matrix-matrix products to save k-1 matrix-vector applications)
     is invisible in aggregate statistics: [Sim_stats] says how many
-    multiplications ran, not which window paid for them.  A ledger
-    entry is recorded for every combination window and for every
-    sequential / fast-path stretch between windows, attributing to that
-    span of the circuit:
+    multiplications ran, not which window paid for them.  The engine
+    emits one {!Trace.Window} span for every combination window and for
+    every sequential / fast-path stretch between windows (rotated every
+    256 gates).  Its kernel spans precede it in the trace; folding them
+    attributes to each window:
 
     - its strategy ([mat_vec], [mat_mat k], or [fallback] when a guard
       budget degraded the window to sequential application),
-    - build seconds (gate-DD construction and matrix-matrix products)
-      vs apply seconds (matrix-vector application onto the state),
+    - build seconds (matrix-matrix products) vs apply seconds
+      (matrix-vector applications onto the state),
     - the peak matrix-DD node count the window materialised,
     - state-DD node counts before and after,
     - the compute-table hit/miss traffic of its primary memo tables,
-    - memory gauges at commit time: OCaml heap live words
-      ([Gc.quick_stat]) and the DD package's estimated table residency
-      bytes.
+    - the memory gauges the window span carries: OCaml heap live words
+      and the DD package's estimated table residency bytes.
 
-    Like every observability layer here, the disabled sink is free: the
-    engine guards each recording site behind {!is_on} (one load, one
-    branch, zero allocation — asserted by the test suite), and a run
-    without a ledger is bitwise identical in statistics. *)
+    Nothing here records: a run without a trace has no windows, and a
+    disabled trace costs one load and one branch per site. *)
 
 type strategy =
   | Mat_vec  (** sequential / fast-path stretch between windows *)
@@ -33,19 +31,19 @@ type strategy =
           [detail] names the budget that tripped *)
 
 type entry = {
-  index : int;  (** commit order, 0-based *)
+  index : int;  (** window order in the trace, 0-based *)
   strategy : strategy;
   gate_start : int;  (** first gate index covered (inclusive) *)
   gate_end : int;  (** one past the last gate covered *)
-  gates : int;  (** gates attributed to this entry *)
+  gates : int;  (** [gate_end - gate_start] *)
   build_seconds : float;
-      (** gate-DD construction + matrix-matrix product time; for
-          combination windows also carries the window's dispatch slack
-          (wall span minus kernel spans), so build + apply across all
-          entries tracks the run's wall clock *)
+      (** matrix-matrix product time; for combination windows also
+          carries the window's slack (span minus kernel spans: gate-DD
+          construction, dispatch, guard checks), so build + apply across
+          all entries tracks the run's wall clock *)
   apply_seconds : float;
       (** matrix-vector application time; sequential stretches carry
-          their dispatch slack here *)
+          their slack here *)
   peak_matrix_nodes : int;
       (** largest matrix DD this entry materialised; [-1] when the
           stretch never built one (pure fast-path applications) *)
@@ -53,114 +51,24 @@ type entry = {
   state_nodes_after : int;
   hits : int;  (** primary memo-table hits over the entry *)
   misses : int;
-  heap_live_words : int;  (** [Gc.quick_stat].live_words at commit *)
+  heap_live_words : int;  (** [Gc.quick_stat].live_words at close *)
   table_bytes : int;
-      (** estimated unique-/compute-table residency bytes at commit *)
+      (** estimated unique-/compute-table residency bytes at close *)
   detail : string;  (** tripped budget for [Fallback]; free-form else *)
 }
 
-type t
-(** A ledger sink with one open accumulator entry at a time.  The
-    engine opens an entry at a window or stretch boundary, accumulates
-    timings / traffic / gate counts into it, and commits it with the
-    end-of-window memory gauges. *)
+val window_detail :
+  strategy -> gate_start:int -> state_nodes_before:int -> string -> string
+(** The [detail] of a [Window] trace event, the part of a window its
+    other fields cannot carry:
+    ["<strategy>[ k=<k>] start=<gate_start> before=<nodes>"], followed
+    by ["; <detail>"] when the free-form detail is non-empty. *)
 
-val null : t
-(** Disabled sink: never records, cannot be enabled.  The default on
-    every engine. *)
-
-val create : ?max_entries:int -> ?stretch:int -> unit -> t
-(** A live sink.  [max_entries] (default 65536) bounds retention —
-    later commits are counted in {!dropped} instead of retained.
-    [stretch] (default 256, must be >= 1) caps how many gates one
-    sequential entry may cover before {!rotate_due} asks the engine to
-    commit and start a fresh one. *)
-
-val is_on : t -> bool
-(** The engine's per-site probe: one load.  Every other call below is
-    made only behind it. *)
-
-val active : t -> bool
-(** An entry is currently open. *)
-
-val open_entry : t -> seq:bool -> gate:int -> state_nodes:int -> unit
-(** Open the accumulator ([seq] marks a sequential stretch, otherwise a
-    combination window).  No-op when disabled; must not be called with
-    an entry already open (commit first). *)
-
-val add_gates : t -> int -> unit
-val add_build : t -> float -> unit
-val add_apply : t -> float -> unit
-val add_traffic : t -> hits:int -> misses:int -> unit
-
-val note_matrix : t -> int -> unit
-(** Fold a materialised matrix DD's node count into the entry peak. *)
-
-val degrade : t -> detail:string -> unit
-(** Mark the open window entry as a guard fallback, recording the
-    budget that tripped. *)
-
-val note_detail : t -> string -> unit
-(** Attach a free-form detail (e.g. repeat-block annotation). *)
-
-val set_window_k : t -> int -> unit
-(** Override the k recorded for a [Mat_mat] entry (repeat blocks apply
-    one combined k-gate matrix many times, so gates covered <> k). *)
-
-val rotate_due : t -> bool
-(** True when the open entry is a sequential stretch that has reached
-    the [stretch] cap and should be committed. *)
-
-val commit :
-  t ->
-  gate_end:int ->
-  state_nodes:int ->
-  heap_words:int ->
-  table_bytes:int ->
-  unit
-(** Close the open entry.  The wall-clock span since {!open_entry} not
-    already attributed by [add_build] / [add_apply] is folded into
-    build (combination windows) or apply (sequential stretches).
-    No-op when disabled or no entry is open. *)
-
-val length : t -> int
-(** Retained committed entries; commits past [max_entries] are counted
-    in {!dropped} instead. *)
-
-val dropped : t -> int
-val entries : t -> entry list
-(** Chronological. *)
-
-val total_build_seconds : t -> float
-(** Build seconds over every committed entry, never reset — survives
-    entry retention limits.  (The open accumulator is not included.) *)
-
-val total_apply_seconds : t -> float
-
-(* -- JSONL sidecar ---------------------------------------------------- *)
-
-val schema : string
-(** ["ddsim-ledger"] *)
-
-val version : int
-(** 1 *)
-
-type run = {
-  run_version : int;
-  run_meta : (string * string) list;
-  run_dropped : int;
-  run_entries : entry list;
-}
-
-val jsonl : ?meta:(string * string) list -> t -> string
-(** Header line, one JSON object per entry, checksum trailer
-    ({!Safe_io.jsonl_trailer}).  Write through {!Safe_io.write_file}. *)
-
-val parse_jsonl : string -> run
-(** Raises [Failure] with a ["ledger:LINE:"]-located message on
-    malformed input; verifies the checksum trailer when present. *)
-
-(* -- aggregation ------------------------------------------------------- *)
+val entries : Trace_report.run -> entry list
+(** One entry per [Window] event, in trace order.  A window's children
+    are the [Mat_vec] / [Mat_mat] spans after the previous window that
+    start no earlier than it.  Raises [Failure] naming the window when
+    its detail is malformed. *)
 
 type totals = {
   mv_entries : int;
@@ -184,14 +92,14 @@ val totals : entry list -> totals
 
 val break_even : entry list -> int option
 (** Smallest window size k whose mat-mat per-gate cost (build + apply,
-    amortised over the window's gates) beats the ledger's observed
-    mat-vec per-gate cost.  [None] when the ledger has no mat-vec
-    baseline or no window reaches break-even. *)
+    amortised over the window's gates) beats the run's observed mat-vec
+    per-gate cost.  [None] when there is no mat-vec baseline or no
+    window reaches break-even. *)
 
-val explain : ?top:int -> run -> string
+val explain : ?top:int -> Trace_report.run -> string
 (** The paper-style comparison rendered for the terminal: per-strategy
     totals (mat-vec vs mat-mat time), amortization per window size,
     the observed break-even k, the [top] (default 5) most expensive
     windows with their node bulges, and peak memory gauges.  When the
-    run's meta carries a [wall_seconds] entry, also reports what
-    fraction of the wall clock the ledger attributes. *)
+    trace's meta carries a [wall_seconds] entry, also reports what
+    fraction of the wall clock the windows cover. *)

@@ -213,6 +213,45 @@ let add_hit_rate_deltas buffer run_a run_b =
   line Trace.Mat_vec;
   line Trace.Mat_mat
 
+(* strategy windows: per-strategy totals side by side, then each run's
+   break-even k *)
+let add_strategy_deltas buffer (run_a : Trace_report.run)
+    (run_b : Trace_report.run) =
+  let entries_a = Ledger.entries run_a and entries_b = Ledger.entries run_b in
+  let totals_a = Ledger.totals entries_a in
+  let totals_b = Ledger.totals entries_b in
+  Buffer.add_string buffer
+    (Printf.sprintf "\n%-9s %9s %9s %12s %12s %9s\n" "strategy" "gates(a)"
+       "gates(b)" "total(a,ms)" "total(b,ms)" "dt");
+  let line name gates_a gates_b seconds_a seconds_b =
+    Buffer.add_string buffer
+      (Printf.sprintf "%-9s %9d %9d %12.3f %12.3f %8.1f%%\n" name gates_a
+         gates_b (seconds_a *. 1e3) (seconds_b *. 1e3)
+         (delta_percent seconds_a seconds_b))
+  in
+  line "mat-vec" totals_a.Ledger.mv_gates totals_b.Ledger.mv_gates
+    (totals_a.Ledger.mv_build +. totals_a.Ledger.mv_apply)
+    (totals_b.Ledger.mv_build +. totals_b.Ledger.mv_apply);
+  line "mat-mat" totals_a.Ledger.mm_gates totals_b.Ledger.mm_gates
+    (totals_a.Ledger.mm_build +. totals_a.Ledger.mm_apply)
+    (totals_b.Ledger.mm_build +. totals_b.Ledger.mm_apply);
+  line "fallback" totals_a.Ledger.fb_gates totals_b.Ledger.fb_gates
+    (totals_a.Ledger.fb_build +. totals_a.Ledger.fb_apply)
+    (totals_b.Ledger.fb_build +. totals_b.Ledger.fb_apply);
+  let show_break_even label entries =
+    Buffer.add_string buffer
+      (Printf.sprintf "break-even k (%s): %s\n" label
+         (match Ledger.break_even entries with
+         | Some k -> string_of_int k
+         | None -> "none"))
+  in
+  Buffer.add_string buffer "\n";
+  show_break_even "a" entries_a;
+  show_break_even "b" entries_b
+
+let has_windows (run : Trace_report.run) =
+  List.exists (fun (e : Trace.event) -> e.kind = Trace.Window) run.events
+
 let render_traces ?(label_a = "A") ?(label_b = "B") (run_a : Trace_report.run)
     (run_b : Trace_report.run) =
   let buffer = Buffer.create 4096 in
@@ -240,6 +279,8 @@ let render_traces ?(label_a = "A") ?(label_b = "B") (run_a : Trace_report.run)
     (Trace_report.phases run_a)
     (Trace_report.phases run_b);
   add_hit_rate_deltas buffer run_a run_b;
+  if has_windows run_a || has_windows run_b then
+    add_strategy_deltas buffer run_a run_b;
   Buffer.contents buffer
 
 (* -- profile diff ---------------------------------------------------- *)
@@ -299,73 +340,6 @@ let add_level_comparison buffer (snapshot_a : Dd_profile.snapshot)
         (b)\n"
        snapshot_a.sharing snapshot_b.sharing snapshot_a.identity_fraction
        snapshot_b.identity_fraction)
-
-(* -- ledger diff ----------------------------------------------------- *)
-
-let add_strategy_deltas buffer (totals_a : Ledger.totals)
-    (totals_b : Ledger.totals) =
-  Buffer.add_string buffer
-    (Printf.sprintf "\n%-9s %9s %9s %12s %12s %9s\n" "strategy" "gates(a)"
-       "gates(b)" "total(a,ms)" "total(b,ms)" "dt");
-  let line name gates_a gates_b seconds_a seconds_b =
-    Buffer.add_string buffer
-      (Printf.sprintf "%-9s %9d %9d %12.3f %12.3f %8.1f%%\n" name gates_a
-         gates_b (seconds_a *. 1e3) (seconds_b *. 1e3)
-         (delta_percent seconds_a seconds_b))
-  in
-  line "mat-vec" totals_a.Ledger.mv_gates totals_b.Ledger.mv_gates
-    (totals_a.Ledger.mv_build +. totals_a.Ledger.mv_apply)
-    (totals_b.Ledger.mv_build +. totals_b.Ledger.mv_apply);
-  line "mat-mat" totals_a.Ledger.mm_gates totals_b.Ledger.mm_gates
-    (totals_a.Ledger.mm_build +. totals_a.Ledger.mm_apply)
-    (totals_b.Ledger.mm_build +. totals_b.Ledger.mm_apply);
-  line "fallback" totals_a.Ledger.fb_gates totals_b.Ledger.fb_gates
-    (totals_a.Ledger.fb_build +. totals_a.Ledger.fb_apply)
-    (totals_b.Ledger.fb_build +. totals_b.Ledger.fb_apply)
-
-let render_ledgers ?(label_a = "A") ?(label_b = "B") (run_a : Ledger.run)
-    (run_b : Ledger.run) =
-  let buffer = Buffer.create 4096 in
-  add_heading buffer label_a label_b;
-  let show_meta label (run : Ledger.run) =
-    if run.Ledger.run_meta <> [] then
-      Buffer.add_string buffer
-        (Printf.sprintf "meta (%s): %s\n" label
-           (String.concat ", "
-              (List.map (fun (k, v) -> k ^ "=" ^ v) run.Ledger.run_meta)))
-  in
-  show_meta "a" run_a;
-  show_meta "b" run_b;
-  Buffer.add_string buffer
-    (Printf.sprintf "entries: %d (a) vs %d (b)\n"
-       (List.length run_a.Ledger.run_entries)
-       (List.length run_b.Ledger.run_entries));
-  let totals_a = Ledger.totals run_a.Ledger.run_entries in
-  let totals_b = Ledger.totals run_b.Ledger.run_entries in
-  add_strategy_deltas buffer totals_a totals_b;
-  let show_break_even label run =
-    Buffer.add_string buffer
-      (Printf.sprintf "break-even k (%s): %s\n" label
-         (match Ledger.break_even run.Ledger.run_entries with
-         | Some k -> string_of_int k
-         | None -> "none"))
-  in
-  Buffer.add_string buffer "\n";
-  show_break_even "a" run_a;
-  show_break_even "b" run_b;
-  (if totals_a.Ledger.peak_matrix >= 0 || totals_b.Ledger.peak_matrix >= 0
-   then
-     Buffer.add_string buffer
-       (Printf.sprintf "peak matrix nodes: %d (a) vs %d (b)\n"
-          totals_a.Ledger.peak_matrix totals_b.Ledger.peak_matrix));
-  if totals_a.Ledger.peak_heap_words > 0 || totals_b.Ledger.peak_heap_words > 0
-  then
-    Buffer.add_string buffer
-      (Printf.sprintf
-         "peak memory: heap %d vs %d live words, tables %d vs %d bytes\n"
-         totals_a.Ledger.peak_heap_words totals_b.Ledger.peak_heap_words
-         totals_a.Ledger.peak_table_bytes totals_b.Ledger.peak_table_bytes);
-  Buffer.contents buffer
 
 let render_profiles ?(label_a = "A") ?(label_b = "B") (run_a : Dd_profile.run)
     (run_b : Dd_profile.run) =

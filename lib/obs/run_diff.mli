@@ -11,15 +11,15 @@
     - the node-trajectory delta, rendered as an ASCII overlay plot
       ([a]/[b]/[*] columns, like the [ddsim report] plot);
     - per-phase time deltas (count and total duration per event kind);
-    - compute-table hit-rate deltas for the multiplication kinds.
+    - compute-table hit-rate deltas for the multiplication kinds;
+    - when either trace has strategy windows, per-strategy gate counts
+      and attributed seconds ({!Ledger.totals}) and each run's
+      break-even k.
 
-    Works on three file families: JSONL traces ({!Trace_report.run}),
-    structural profiles ({!Dd_profile.run}) and strategy cost ledgers
-    ({!Ledger.run}).  For profiles the report additionally breaks the
-    divergence down per DD level and compares sharing and
-    identity-region fractions; for ledgers it compares per-strategy
-    gate counts and attributed seconds, break-even k, and memory
-    peaks. *)
+    Works on two file families: JSONL traces ({!Trace_report.run}) and
+    structural profiles ({!Dd_profile.run}).  For profiles the report
+    additionally breaks the divergence down per DD level and compares
+    sharing and identity-region fractions. *)
 
 type divergence = {
   gate : int;  (** first gate index where the node counts disagree *)
@@ -54,9 +54,3 @@ val render_profiles :
   Dd_profile.run ->
   string
 (** The full report for two parsed structural profiles. *)
-
-val render_ledgers :
-  ?label_a:string -> ?label_b:string -> Ledger.run -> Ledger.run -> string
-(** The full report for two parsed strategy ledgers: per-strategy totals
-    side by side with time deltas, break-even k of each run, and peak
-    matrix-DD / memory gauges. *)

@@ -10,6 +10,7 @@ type kind =
   | Measure
   | Audit
   | Reorder
+  | Window
 
 type event = {
   kind : kind;
@@ -21,6 +22,8 @@ type event = {
   hits : int;
   misses : int;
   detail : string;
+  heap_words : int;
+  table_bytes : int;
 }
 
 type t = {
@@ -45,6 +48,8 @@ let dummy_event =
     hits = 0;
     misses = 0;
     detail = "";
+    heap_words = 0;
+    table_bytes = 0;
   }
 
 let null =
@@ -109,6 +114,8 @@ let instant t kind ~gate ~state_nodes ~matrix_nodes ~detail =
         hits = 0;
         misses = 0;
         detail;
+        heap_words = 0;
+        table_bytes = 0;
       }
 
 let span t kind ~t0 ~gate ~state_nodes ~matrix_nodes ~hits ~misses ~detail =
@@ -125,6 +132,27 @@ let span t kind ~t0 ~gate ~state_nodes ~matrix_nodes ~hits ~misses ~detail =
         hits;
         misses;
         detail;
+        heap_words = 0;
+        table_bytes = 0;
+      }
+  end
+
+let window t ~t0 ~gate_end ~state_nodes ~heap_words ~table_bytes ~detail =
+  if t.enabled then begin
+    let t1 = now t in
+    emit t
+      {
+        kind = Window;
+        t = t0;
+        dur = Float.max 0. (t1 -. t0);
+        gate_index = gate_end - 1;
+        state_nodes;
+        matrix_nodes = -1;
+        hits = 0;
+        misses = 0;
+        detail;
+        heap_words;
+        table_bytes;
       }
   end
 

@@ -5,7 +5,8 @@
     show that.  A trace records one typed event per interesting operation
     — gate applications, matrix-vector and matrix-matrix multiplications,
     combination-window flushes, garbage collections, fallbacks,
-    renormalizations, checkpoints and measurements — each stamped with a
+    renormalizations, checkpoints, measurements and strategy windows —
+    each stamped with a
     monotonic timestamp ({!Clock}), the current gate index, DD node
     counts, and the compute-table hit/miss traffic the operation caused.
 
@@ -32,6 +33,14 @@ type kind =
   | Measure  (** a qubit was measured and the state collapsed *)
   | Audit  (** one invariant-auditor pass over the live DDs (span) *)
   | Reorder  (** one variable-reordering (sifting) pass on the state DD (span) *)
+  | Window
+      (** one strategy window of the engine's run loop, open to close (span): a
+          sequential stretch, a combination window, a degraded window or
+          a repeat block.  Its kernel spans ([Mat_vec] / [Mat_mat])
+          precede it in the buffer; {!Ledger} folds them into per-window
+          costs.  [gate_index] is the last gate covered, [state_nodes]
+          the state size at close, [detail] the window header
+          ({!Ledger.window_detail}), and the two gauges are set. *)
 
 type event = {
   kind : kind;
@@ -43,6 +52,11 @@ type event = {
   hits : int;  (** compute-table hits the operation scored *)
   misses : int;  (** compute-table misses the operation scored *)
   detail : string;  (** free-form: gate name, window size, ... *)
+  heap_words : int;
+      (** [Gc.quick_stat] live words at a [Window] close; [0] otherwise *)
+  table_bytes : int;
+      (** estimated DD-table residency bytes at a [Window] close; [0]
+          otherwise *)
 }
 
 type t
@@ -97,6 +111,19 @@ val span :
   unit
 (** Append an event covering [t0 .. now t] (trace time).  Emitted at span
     end, so buffer order is completion order and end times are monotone. *)
+
+val window :
+  t ->
+  t0:float ->
+  gate_end:int ->
+  state_nodes:int ->
+  heap_words:int ->
+  table_bytes:int ->
+  detail:string ->
+  unit
+(** Append a [Window] span covering [t0 .. now t] whose last gate is
+    [gate_end - 1].  Like {!span}, the first action is the {!is_on}
+    check and a disabled call allocates nothing. *)
 
 val length : t -> int
 val dropped : t -> int

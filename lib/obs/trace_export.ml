@@ -1,5 +1,5 @@
 let schema = "ddsim-trace"
-let version = 2
+let version = 3
 
 let kind_to_string = function
   | Trace.Gate_applied -> "gate_applied"
@@ -13,6 +13,7 @@ let kind_to_string = function
   | Trace.Measure -> "measure"
   | Trace.Audit -> "audit"
   | Trace.Reorder -> "reorder"
+  | Trace.Window -> "window"
 
 let kind_of_string = function
   | "gate_applied" -> Some Trace.Gate_applied
@@ -26,6 +27,7 @@ let kind_of_string = function
   | "measure" -> Some Trace.Measure
   | "audit" -> Some Trace.Audit
   | "reorder" -> Some Trace.Reorder
+  | "window" -> Some Trace.Window
   | _ -> None
 
 let meta_json meta =
@@ -50,9 +52,15 @@ let jsonl ?(meta = []) trace =
     (fun (e : Trace.event) ->
       Buffer.add_string buffer
         (Printf.sprintf
-           "{\"kind\":\"%s\",\"t\":%.9g,\"dur\":%.9g,\"gate\":%d,\"state_nodes\":%d,\"matrix_nodes\":%d,\"hits\":%d,\"misses\":%d,\"detail\":\"%s\"}\n"
+           "{\"kind\":\"%s\",\"t\":%.9g,\"dur\":%.9g,\"gate\":%d,\"state_nodes\":%d,\"matrix_nodes\":%d,\"hits\":%d,\"misses\":%d,\"detail\":\"%s\""
            (kind_to_string e.kind) e.t e.dur e.gate_index e.state_nodes
-           e.matrix_nodes e.hits e.misses (Json.escape e.detail)))
+           e.matrix_nodes e.hits e.misses (Json.escape e.detail));
+      (* only window spans carry the memory gauges *)
+      if e.kind = Trace.Window then
+        Buffer.add_string buffer
+          (Printf.sprintf ",\"heap_words\":%d,\"table_bytes\":%d"
+             e.heap_words e.table_bytes);
+      Buffer.add_string buffer "}\n")
     trace;
   (* checksum trailer: lets [ddsim fsck] detect truncation/garbling *)
   let body = Buffer.contents buffer in
@@ -61,6 +69,10 @@ let jsonl ?(meta = []) trace =
 let chrome_args (e : Trace.event) =
   let fields = ref [] in
   let push k v = fields := Printf.sprintf "\"%s\":%s" k v :: !fields in
+  if e.kind = Trace.Window then begin
+    push "table_bytes" (string_of_int e.table_bytes);
+    push "heap_words" (string_of_int e.heap_words)
+  end;
   if e.detail <> "" then
     push "detail" (Printf.sprintf "\"%s\"" (Json.escape e.detail));
   if e.misses > 0 || e.hits > 0 then begin
@@ -116,6 +128,7 @@ let all_kinds =
     Trace.Measure;
     Trace.Audit;
     Trace.Reorder;
+    Trace.Window;
   ]
 
 let summary trace =

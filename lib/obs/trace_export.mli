@@ -19,16 +19,17 @@ val schema : string
 (** ["ddsim-trace"]. *)
 
 val version : int
-(** Current JSONL schema version (2).  Events serialise byte-identically
-    to v1 events, and {!Trace_report.parse_jsonl} accepts both
-    versions. *)
+(** Current JSONL schema version (3): v2 plus the [window] kind, whose
+    lines also carry [heap_words] and [table_bytes].
+    {!Trace_report.parse_jsonl} accepts this version only. *)
 
 val kind_to_string : Trace.kind -> string
 val kind_of_string : string -> Trace.kind option
 
 val jsonl : ?meta:(string * string) list -> Trace.t -> string
 (** [meta] lands in the header line under ["meta"] (e.g. algorithm,
-    qubit count, strategy). *)
+    qubit count, strategy, and the run's [wall_seconds], against which
+    [ddsim explain] measures window coverage). *)
 
 val chrome : ?meta:(string * string) list -> Trace.t -> string
 

@@ -35,6 +35,8 @@ let parse_event json =
     hits = field json "hits" ~default:0;
     misses = field json "misses" ~default:0;
     detail;
+    heap_words = field json "heap_words" ~default:0;
+    table_bytes = field json "table_bytes" ~default:0;
   }
 
 (* every parse failure names the 1-based line it came from, so a
@@ -52,8 +54,8 @@ let strip_prefix message =
   else message
 
 let parse_jsonl text =
-  (* newer writers append a checksum trailer line; verify it when present
-     (older files without one still parse) *)
+  (* writers append a checksum trailer line; verify it when present
+     (hand-written files without one still parse) *)
   let body, trailer = Safe_io.split_jsonl_trailer text in
   (match trailer with
   | Some expected when Safe_io.checksum body <> expected ->
@@ -81,10 +83,9 @@ let parse_jsonl text =
       | Some (Json.Num v) -> int_of_float v
       | _ -> located header_line "header line is missing \"version\""
     in
-    (* v1 still parses: its events are the same records *)
-    if version < 1 || version > Trace_export.version then
+    if version <> Trace_export.version then
       located header_line
-        (Printf.sprintf "unsupported schema version %d (expected 1..%d)"
+        (Printf.sprintf "unsupported schema version %d (expected %d)"
            version Trace_export.version);
     let meta =
       match Json.member header "meta" with
@@ -106,6 +107,14 @@ let parse_jsonl text =
         rest
     in
     { version; meta; events; dropped }
+
+let of_trace ?(meta = []) trace =
+  {
+    version = Trace_export.version;
+    meta;
+    events = Array.to_list (Trace.events trace);
+    dropped = Trace.dropped trace;
+  }
 
 let trajectory run =
   let by_gate = Hashtbl.create 256 in
@@ -145,6 +154,7 @@ let kind_order = function
   | Trace.Measure -> 8
   | Trace.Audit -> 9
   | Trace.Reorder -> 10
+  | Trace.Window -> 11
 
 let phases run =
   let acc = Hashtbl.create 16 in

@@ -15,8 +15,12 @@ type run = {
 
 val parse_jsonl : string -> run
 (** Raises [Failure] on malformed JSON, a missing/mismatched [schema]
-    field, or an unsupported [version].  Every message is located:
-    ["trace:LINE: ..."] with the 1-based line the problem came from. *)
+    field, or a [version] other than {!Trace_export.version}.  Every
+    message is located: ["trace:LINE: ..."] with the 1-based line the
+    problem came from. *)
+
+val of_trace : ?meta:(string * string) list -> Trace.t -> run
+(** The in-memory equivalent of exporting [trace] and parsing it back. *)
 
 val trajectory : run -> (int * int) list
 (** [(gate_index, state_nodes)] per gate, ascending by gate index.  For

@@ -1,5 +1,5 @@
 (* Crash-safe artifact I/O: the Safe_io checksum/trailer layer, checkpoint
-   format-version compatibility and rotation, and the [ddsim fsck] library
+   validation and rotation, and the [ddsim fsck] library
    verdicts on healthy and corrupted artifacts. *)
 
 open Util
@@ -74,47 +74,7 @@ let test_write_file_atomic () =
     (Sys.file_exists (path ^ ".tmp"));
   cleanup path
 
-(* -- checkpoint format versions ------------------------------------------ *)
-
-(* Rewrite a current (v7) checkpoint as an older on-disk version: patch the
-   header, truncate the stats line to the fields that version carried, drop
-   the order line and the checksum trailer older writers never produced. *)
-let downgrade text ~version ~stats_fields =
-  let body, _ = Obs.Safe_io.split_text_trailer text in
-  String.split_on_char '\n' body
-  |> List.filter (fun line ->
-         not (String.length line > 6 && String.sub line 0 6 = "order "))
-  |> List.map (fun line ->
-         if line = "ddsim-checkpoint 7" then
-           Printf.sprintf "ddsim-checkpoint %d" version
-         else if
-           String.length line > 6 && String.sub line 0 6 = "stats "
-         then
-           String.split_on_char ' ' line
-           |> List.filteri (fun i _ -> i <= stats_fields)
-           |> String.concat " "
-         else line)
-  |> String.concat "\n"
-
-let restores_with_zeroed_counters ~version ~stats_fields () =
-  let old = downgrade (checkpoint_text ()) ~version ~stats_fields in
-  let cp = Dd_sim.Checkpoint.of_string (fresh_ctx ()) ~source:"old" old in
-  check_int "gate index survives" 25 cp.Dd_sim.Checkpoint.gate_index;
-  check_int "qubits survive" 4 cp.Dd_sim.Checkpoint.qubits;
-  let stats = cp.Dd_sim.Checkpoint.stats in
-  check_bool "pre-auditor file: auditor counters zero-filled" true
-    (stats.Dd_sim.Sim_stats.audits_run = 0
-    && stats.Dd_sim.Sim_stats.audit_violations = 0
-    && stats.Dd_sim.Sim_stats.audit_repairs = 0);
-  if version < 3 then
-    check_int "pre-v3 file: fast-path counter zero-filled" 0
-      stats.Dd_sim.Sim_stats.fast_path_applies;
-  check_bool "counters that existed restore" true
-    (stats.Dd_sim.Sim_stats.gates_seen > 0)
-
-let test_reads_v2 = restores_with_zeroed_counters ~version:2 ~stats_fields:12
-let test_reads_v3 = restores_with_zeroed_counters ~version:3 ~stats_fields:14
-let test_reads_v4 = restores_with_zeroed_counters ~version:4 ~stats_fields:16
+(* -- checkpoint validation ----------------------------------------------- *)
 
 let test_rejects_truncation () =
   let text = checkpoint_text () in
@@ -135,7 +95,7 @@ let test_rejects_checksum_mismatch () =
 
 let test_rejects_missing_trailer () =
   let body, _ = Obs.Safe_io.split_text_trailer (checkpoint_text ()) in
-  check_bool "v5 without its trailer is a structured error" true
+  check_bool "a checkpoint without its trailer is a structured error" true
     (invalid_checkpoint_rejects body)
 
 (* -- rotation and generation fallback ------------------------------------ *)
@@ -263,6 +223,24 @@ let test_fsck_flags_reordered_trace () =
   check_bool "backwards gate indices flagged" false report.Dd_sim.Fsck.ok;
   cleanup path
 
+let test_fsck_flags_inverted_window () =
+  (* a window claiming to start at gate 10 but ending at gate 4 *)
+  let trace = Obs.Trace.create () in
+  Obs.Trace.window trace ~t0:0. ~gate_end:4 ~state_nodes:3 ~heap_words:1
+    ~table_bytes:1
+    ~detail:
+      (Obs.Ledger.window_detail Obs.Ledger.Mat_vec ~gate_start:10
+         ~state_nodes_before:3 "");
+  let path = temp_path ".trace.jsonl" in
+  Obs.Safe_io.write_file path (Obs.Trace_export.jsonl trace);
+  let report = fsck path in
+  check_bool "inverted window flagged" false report.Dd_sim.Fsck.ok;
+  check_bool
+    (Printf.sprintf "detail %S names the window" report.Dd_sim.Fsck.detail)
+    true
+    (report.Dd_sim.Fsck.detail = "window 0: gate range [10,4) is inverted");
+  cleanup path
+
 let test_fsck_flags_garbage () =
   let path = temp_path ".bin" in
   Obs.Safe_io.write_file path "PK\x03\x04 definitely not ours\n";
@@ -285,9 +263,6 @@ let suite =
       test_text_trailer_roundtrip;
     Alcotest.test_case "write_file replaces atomically" `Quick
       test_write_file_atomic;
-    Alcotest.test_case "reads version 2 checkpoints" `Quick test_reads_v2;
-    Alcotest.test_case "reads version 3 checkpoints" `Quick test_reads_v3;
-    Alcotest.test_case "reads version 4 checkpoints" `Quick test_reads_v4;
     Alcotest.test_case "rejects truncated checkpoints" `Quick
       test_rejects_truncation;
     Alcotest.test_case "rejects checksum mismatch" `Quick
@@ -306,6 +281,8 @@ let suite =
       test_fsck_flags_truncated_trace;
     Alcotest.test_case "fsck: reordered trace" `Quick
       test_fsck_flags_reordered_trace;
+    Alcotest.test_case "fsck: inverted window" `Quick
+      test_fsck_flags_inverted_window;
     Alcotest.test_case "fsck: unrecognised file" `Quick test_fsck_flags_garbage;
     Alcotest.test_case "fsck: missing file" `Quick test_fsck_missing_file;
   ]

@@ -1,5 +1,6 @@
-(* Strategy cost ledger: per-window attribution, JSONL round-trips,
-   explain/fsck integration, and the zero-cost-when-disabled contract. *)
+(* Strategy windows: the Window spans a traced run emits, the per-window
+   costs Obs.Ledger folds from them, JSONL round-trips, explain/fsck
+   integration, and the zero-cost-when-disabled contract. *)
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -7,150 +8,149 @@ let check_int = Alcotest.(check int)
 let temp_path suffix =
   Filename.temp_file "ddsim_ledger_test" suffix
 
-let ledgered_run ?(strategy = Dd_sim.Strategy.Sequential) ?guard circuit =
-  let engine = Dd_sim.Engine.create ~seed:7 Circuit.(circuit.qubits) in
-  let ledger = Obs.Ledger.create () in
-  Dd_sim.Engine.set_ledger engine ledger;
+let traced_engine ?(seed = 7) ?context qubits =
+  let engine = Dd_sim.Engine.create ~seed ?context qubits in
+  let trace = Obs.Trace.create () in
+  Dd_sim.Engine.set_trace engine trace;
+  (engine, trace)
+
+let windows trace = Obs.Ledger.entries (Obs.Trace_report.of_trace trace)
+
+let traced_run ?(strategy = Dd_sim.Strategy.Sequential) ?guard circuit =
+  let engine, trace = traced_engine Circuit.(circuit.qubits) in
   (match guard with
   | None -> Dd_sim.Engine.run ~strategy engine circuit
   | Some guard -> Dd_sim.Engine.run ~strategy ~guard engine circuit);
-  (engine, ledger)
+  (engine, windows trace, trace)
 
 let contains_sub text sub =
   let n = String.length text and m = String.length sub in
   let rec loop i = i + m <= n && (String.sub text i m = sub || loop (i + 1)) in
   loop 0
 
-(* -- null sink and disabled-path contract ------------------------------ *)
+let attributed entries =
+  List.fold_left
+    (fun acc (e : Obs.Ledger.entry) ->
+      acc +. e.build_seconds +. e.apply_seconds)
+    0. entries
+
+let total_gates entries =
+  List.fold_left (fun acc (e : Obs.Ledger.entry) -> acc + e.gates) 0 entries
+
+(* -- disabled-path contract ------------------------------------------- *)
 
 let test_null_sink () =
-  let t = Obs.Ledger.null in
-  check_bool "null sink is off" false (Obs.Ledger.is_on t);
-  Obs.Ledger.open_entry t ~seq:true ~gate:0 ~state_nodes:1;
-  Obs.Ledger.add_gates t 3;
-  Obs.Ledger.add_build t 0.5;
-  Obs.Ledger.commit t ~gate_end:3 ~state_nodes:1 ~heap_words:0 ~table_bytes:0;
-  check_int "null sink records nothing" 0 (Obs.Ledger.length t);
-  check_bool "null sink never has an open entry" false (Obs.Ledger.active t)
+  let circuit = Qft.circuit 6 in
+  let engine =
+    Dd_sim.Engine.create ~seed:7 Circuit.(circuit.qubits)
+  in
+  Dd_sim.Engine.run ~strategy:(Dd_sim.Strategy.K_operations 4) engine
+    circuit;
+  check_bool "an engine without a trace holds the null sink" false
+    (Obs.Trace.is_on (Dd_sim.Engine.trace engine));
+  Obs.Trace.window Obs.Trace.null ~t0:0. ~gate_end:3 ~state_nodes:1
+    ~heap_words:0 ~table_bytes:0 ~detail:"mat_vec start=0 before=1";
+  check_int "the null sink records no windows" 0
+    (Obs.Trace.length Obs.Trace.null)
 
 let test_disabled_probe_allocates_nothing () =
-  let t = Obs.Ledger.null in
-  (* pre-bound floats so the loop body itself cannot box arguments *)
-  let dt = Sys.opaque_identity 0.001 in
+  let t = Obs.Trace.create () in
+  Obs.Trace.set_enabled t false;
+  (* pre-bound float so the loop body itself cannot box arguments *)
+  let t0 = Sys.opaque_identity 0.001 in
   (* warm-up outside the measured window *)
-  Obs.Ledger.add_build t dt;
-  Obs.Ledger.add_apply t dt;
+  Obs.Trace.window t ~t0 ~gate_end:1 ~state_nodes:1 ~heap_words:1
+    ~table_bytes:1 ~detail:"x";
   let before = Gc.minor_words () in
   for i = 1 to 100_000 do
-    Obs.Ledger.add_gates t 1;
-    Obs.Ledger.add_build t dt;
-    Obs.Ledger.add_apply t dt;
-    Obs.Ledger.add_traffic t ~hits:i ~misses:i;
-    Obs.Ledger.note_matrix t i
+    Obs.Trace.window t ~t0 ~gate_end:i ~state_nodes:i ~heap_words:i
+      ~table_bytes:i ~detail:"x";
+    Obs.Trace.span t Obs.Trace.Mat_vec ~t0 ~gate:i ~state_nodes:i
+      ~matrix_nodes:i ~hits:i ~misses:i ~detail:"x"
   done;
   let allocated = Gc.minor_words () -. before in
   check_bool
-    (Printf.sprintf "100k disabled probes allocated %.0f words" allocated)
-    true (allocated < 256.)
+    (Printf.sprintf "100k disabled window probes allocated %.0f words"
+       allocated)
+    true (allocated < 256.);
+  check_int "nothing was recorded" 0 (Obs.Trace.length t)
 
-let test_unledgered_run_is_identical () =
+let test_untraced_run_is_identical () =
   let circuit = Qft.circuit 8 in
   let strategy = Dd_sim.Strategy.K_operations 4 in
-  let run ~with_ledger =
-    let engine = Dd_sim.Engine.create ~seed:7 Circuit.(circuit.qubits) in
-    if with_ledger then
-      Dd_sim.Engine.set_ledger engine (Obs.Ledger.create ());
-    Dd_sim.Engine.run ~strategy engine circuit;
-    engine
-  in
-  let plain = run ~with_ledger:false in
-  let ledgered = run ~with_ledger:true in
+  let plain = Dd_sim.Engine.create ~seed:7 Circuit.(circuit.qubits) in
+  Dd_sim.Engine.run ~strategy plain circuit;
+  let traced, entries, _ = traced_run ~strategy circuit in
   let s_plain = Dd_sim.Engine.stats plain in
-  let s_ledgered = Dd_sim.Engine.stats ledgered in
+  let s_traced = Dd_sim.Engine.stats traced in
   check_int "same gate count"
     s_plain.Dd_sim.Sim_stats.gates_seen
-    s_ledgered.Dd_sim.Sim_stats.gates_seen;
+    s_traced.Dd_sim.Sim_stats.gates_seen;
   check_int "same mat-vec multiplications"
     s_plain.Dd_sim.Sim_stats.mat_vec_mults
-    s_ledgered.Dd_sim.Sim_stats.mat_vec_mults;
+    s_traced.Dd_sim.Sim_stats.mat_vec_mults;
   check_int "same mat-mat multiplications"
     s_plain.Dd_sim.Sim_stats.mat_mat_mults
-    s_ledgered.Dd_sim.Sim_stats.mat_mat_mults;
+    s_traced.Dd_sim.Sim_stats.mat_mat_mults;
   check_int "same combined applications"
     s_plain.Dd_sim.Sim_stats.combined_applications
-    s_ledgered.Dd_sim.Sim_stats.combined_applications;
+    s_traced.Dd_sim.Sim_stats.combined_applications;
   check_int "same final state DD"
     (Dd_sim.Engine.state_node_count plain)
-    (Dd_sim.Engine.state_node_count ledgered);
-  check_int "no ledger entries without a sink" 0
-    s_plain.Dd_sim.Sim_stats.ledger_entries;
-  check_bool "ledgered run counts its entries" true
-    (s_ledgered.Dd_sim.Sim_stats.ledger_entries > 0)
+    (Dd_sim.Engine.state_node_count traced);
+  check_bool "the traced run closed windows" true (entries <> [])
 
-(* -- entry semantics --------------------------------------------------- *)
-
-let entry_ranges entries =
-  List.map
-    (fun (e : Obs.Ledger.entry) -> (e.gate_start, e.gate_end))
-    entries
+(* -- window semantics --------------------------------------------------- *)
 
 let check_monotone_ranges entries =
   ignore
     (List.fold_left
-       (fun last (start, stop) ->
+       (fun last (e : Obs.Ledger.entry) ->
          check_bool
            (Printf.sprintf "range [%d,%d) does not overlap its predecessor"
-              start stop)
-           true (start >= last);
+              e.gate_start e.gate_end)
+           true (e.gate_start >= last);
          check_bool
-           (Printf.sprintf "range [%d,%d) is not inverted" start stop)
-           true (stop >= start);
-         stop)
-       0 (entry_ranges entries))
+           (Printf.sprintf "range [%d,%d) is not inverted" e.gate_start
+              e.gate_end)
+           true (e.gate_end >= e.gate_start);
+         e.gate_end)
+       0 entries)
 
 let test_sequential_run_entries () =
   let circuit = Grover.circuit ~n:6 ~marked:11 () in
-  let engine, ledger = ledgered_run circuit in
-  let entries = Obs.Ledger.entries ledger in
-  check_bool "sequential run committed entries" true (entries <> []);
+  let engine, entries, _ = traced_run circuit in
+  check_bool "sequential run closed windows" true (entries <> []);
   List.iter
     (fun (e : Obs.Ledger.entry) ->
-      check_bool "every entry is a mat-vec stretch" true
+      check_bool "every window is a mat-vec stretch" true
         (e.strategy = Obs.Ledger.Mat_vec))
     entries;
-  let gates =
-    List.fold_left
-      (fun acc (e : Obs.Ledger.entry) -> acc + e.gates)
-      0 entries
-  in
   check_int "every applied gate is attributed"
-    (Dd_sim.Engine.stats engine).Dd_sim.Sim_stats.gates_seen gates;
+    (Dd_sim.Engine.stats engine).Dd_sim.Sim_stats.gates_seen
+    (total_gates entries);
   check_monotone_ranges entries
 
 let test_k4_attribution_covers_wall_clock () =
-  (* the acceptance gate from the issue: on a qft_14 k:4 run the summed
-     build+apply seconds cover >= 95% of the engine wall clock *)
+  (* on a qft_14 k:4 run the summed build+apply seconds of the windows
+     cover >= 95% of the engine wall clock *)
   let circuit = Qft.circuit 14 in
-  let engine, ledger =
-    ledgered_run ~strategy:(Dd_sim.Strategy.K_operations 4) circuit
+  let engine, entries, _ =
+    traced_run ~strategy:(Dd_sim.Strategy.K_operations 4) circuit
   in
-  let entries = Obs.Ledger.entries ledger in
-  check_bool "windows were committed" true (entries <> []);
+  check_bool "windows were closed" true (entries <> []);
   List.iter
     (fun (e : Obs.Ledger.entry) ->
-      check_bool "every entry is a combination window" true
+      check_bool "every window is a combination window" true
         (match e.strategy with Obs.Ledger.Mat_mat _ -> true | _ -> false))
     entries;
   check_monotone_ranges entries;
   let wall =
     (Dd_sim.Engine.stats engine).Dd_sim.Sim_stats.wall_time_seconds
   in
-  let attributed =
-    Obs.Ledger.total_build_seconds ledger
-    +. Obs.Ledger.total_apply_seconds ledger
-  in
+  let attributed = attributed entries in
   check_bool
-    (Printf.sprintf "ledger covers %.1f%% of the wall clock (>= 95%%)"
+    (Printf.sprintf "windows cover %.1f%% of the wall clock (>= 95%%)"
        (100. *. attributed /. Float.max wall 1e-12))
     true
     (attributed >= 0.95 *. wall);
@@ -159,31 +159,32 @@ let test_k4_attribution_covers_wall_clock () =
 
 let test_k1_windows () =
   let circuit = Qft.circuit 6 in
-  let _, ledger =
-    ledgered_run ~strategy:(Dd_sim.Strategy.K_operations 1) circuit
+  let _, entries, _ =
+    traced_run ~strategy:(Dd_sim.Strategy.K_operations 1) circuit
   in
+  check_bool "k=1 run closed windows" true (entries <> []);
   List.iter
     (fun (e : Obs.Ledger.entry) ->
-      check_bool "k=1 window entries carry Mat_mat 1" true
+      check_bool "k=1 windows carry Mat_mat 1" true
         (e.strategy = Obs.Ledger.Mat_mat 1))
-    (Obs.Ledger.entries ledger)
+    entries
 
 let test_fallback_records_budget () =
   (* a tiny matrix budget degrades windows to sequential application;
-     the entry must say so and name the budget *)
+     the window must say so and name the budget *)
   let circuit = Grover.circuit ~n:6 ~marked:11 () in
   let guard = Dd_sim.Guard.make ~max_matrix_nodes:2 () in
-  let engine, ledger =
-    ledgered_run ~strategy:(Dd_sim.Strategy.K_operations 8) ~guard circuit
+  let engine, entries, _ =
+    traced_run ~strategy:(Dd_sim.Strategy.K_operations 8) ~guard circuit
   in
   check_bool "the guard actually tripped" true
     ((Dd_sim.Engine.stats engine).Dd_sim.Sim_stats.fallbacks > 0);
   let fallbacks =
     List.filter
       (fun (e : Obs.Ledger.entry) -> e.strategy = Obs.Ledger.Fallback)
-      (Obs.Ledger.entries ledger)
+      entries
   in
-  check_bool "fallback windows are ledgered as such" true (fallbacks <> []);
+  check_bool "fallback windows are recorded as such" true (fallbacks <> []);
   List.iter
     (fun (e : Obs.Ledger.entry) ->
       check_bool
@@ -197,97 +198,120 @@ let test_resume_does_not_duplicate_entries () =
   let strategy = Dd_sim.Strategy.K_operations 4 in
   let path = temp_path ".ckpt" in
   (* first run: checkpoint mid-run only (the engine also checkpoints at
-     the end of the run, which would leave nothing to resume), keep its
-     own ledger *)
-  let engine = Dd_sim.Engine.create ~seed:7 Circuit.(circuit.qubits) in
-  Dd_sim.Engine.set_ledger engine (Obs.Ledger.create ());
+     the end of the run, which would leave nothing to resume), with its
+     own trace *)
+  let engine, _ = traced_engine Circuit.(circuit.qubits) in
   Dd_sim.Engine.run ~strategy ~checkpoint_every:12
     ~on_checkpoint:(fun ~gate_index ->
       if gate_index < Circuit.gate_count circuit then
         Dd_sim.Checkpoint.save engine ~strategy ~gate_index ~path)
     engine circuit;
-  (* resume into a fresh engine with a fresh ledger from the last
-     periodic checkpoint; no entry may cover already-replayed gates *)
+  (* resume into a fresh engine with a fresh trace from the last
+     periodic checkpoint; no window may cover already-replayed gates *)
   let ctx = Dd.Context.create () in
-  let engine2 = Dd_sim.Engine.create ~context:ctx Circuit.(circuit.qubits) in
+  let engine2, trace2 = traced_engine ~context:ctx Circuit.(circuit.qubits) in
   let loaded, _ = Dd_sim.Checkpoint.load_latest ctx ~path in
   let start = Dd_sim.Checkpoint.restore engine2 loaded in
-  let ledger2 = Obs.Ledger.create () in
-  Dd_sim.Engine.set_ledger engine2 ledger2;
   Dd_sim.Engine.run ~strategy ~start_gate:start engine2 circuit;
-  let entries = Obs.Ledger.entries ledger2 in
-  check_bool "resumed run committed entries" true (entries <> []);
+  let entries = windows trace2 in
+  check_bool "resumed run closed windows" true (entries <> []);
   check_monotone_ranges entries;
   List.iter
     (fun (e : Obs.Ledger.entry) ->
       check_bool
-        (Printf.sprintf "entry [%d,%d) starts at or after the resume gate %d"
+        (Printf.sprintf "window [%d,%d) starts at or after the resume gate %d"
            e.gate_start e.gate_end start)
         true (e.gate_start >= start))
     entries;
-  let gates =
-    List.fold_left
-      (fun acc (e : Obs.Ledger.entry) -> acc + e.gates)
-      0 entries
-  in
-  check_int "the resumed ledger covers exactly the replayed tail"
+  check_int "the resumed windows cover exactly the replayed tail"
     (Circuit.gate_count circuit - start)
-    gates;
+    (total_gates entries);
   Sys.remove path;
   if Sys.file_exists (path ^ ".prev") then Sys.remove (path ^ ".prev")
 
 let test_retention_and_rotation () =
-  let t = Obs.Ledger.create ~max_entries:2 ~stretch:4 () in
-  for i = 0 to 2 do
-    Obs.Ledger.open_entry t ~seq:true ~gate:(i * 10) ~state_nodes:1;
-    Obs.Ledger.add_gates t 1;
-    Obs.Ledger.add_build t 0.25;
-    Obs.Ledger.commit t
-      ~gate_end:((i * 10) + 1)
-      ~state_nodes:1 ~heap_words:0 ~table_bytes:0
-  done;
-  check_int "retention caps the stored entries" 2 (Obs.Ledger.length t);
-  check_int "the overflow is counted" 1 (Obs.Ledger.dropped t);
-  check_bool "totals survive retention" true
-    (Obs.Ledger.total_build_seconds t >= 0.75);
-  Obs.Ledger.open_entry t ~seq:true ~gate:40 ~state_nodes:1;
-  Obs.Ledger.add_gates t 3;
-  check_bool "under the stretch cap" false (Obs.Ledger.rotate_due t);
-  Obs.Ledger.add_gates t 1;
-  check_bool "at the stretch cap" true (Obs.Ledger.rotate_due t)
+  (* sequential stretches rotate every 256 gates *)
+  let circuit = Grover.circuit ~n:10 ~marked:5 () in
+  let gates = Circuit.gate_count circuit in
+  check_bool "the circuit spans several stretches" true (gates > 512);
+  let _, entries, _ = traced_run circuit in
+  check_int "one window per started stretch" ((gates + 255) / 256)
+    (List.length entries);
+  List.iteri
+    (fun i (e : Obs.Ledger.entry) ->
+      if i < List.length entries - 1 then
+        check_int "full stretches cover the cap" 256 e.gates)
+    entries;
+  (* a capped trace counts what it drops, and explain says so *)
+  let engine = Dd_sim.Engine.create ~seed:7 Circuit.(circuit.qubits) in
+  let trace = Obs.Trace.create ~max_events:16 () in
+  Dd_sim.Engine.set_trace engine trace;
+  Dd_sim.Engine.run engine circuit;
+  check_bool "the overflow is counted" true (Obs.Trace.dropped trace > 0);
+  check_bool "explain flags the missing windows" true
+    (contains_sub
+       (Obs.Ledger.explain (Obs.Trace_report.of_trace trace))
+       "windows may be missing")
 
-(* -- sidecar, explain, fsck -------------------------------------------- *)
+let test_window_detail_roundtrip () =
+  let trace = Obs.Trace.create () in
+  let emit strategy ~gate_start ~gate_end detail =
+    Obs.Trace.window trace ~t0:(Obs.Trace.now trace) ~gate_end
+      ~state_nodes:9 ~heap_words:100 ~table_bytes:200
+      ~detail:
+        (Obs.Ledger.window_detail strategy ~gate_start ~state_nodes_before:5
+           detail)
+  in
+  emit Obs.Ledger.Mat_vec ~gate_start:0 ~gate_end:3 "";
+  emit (Obs.Ledger.Mat_mat 4) ~gate_start:3 ~gate_end:7 "a; b";
+  emit Obs.Ledger.Fallback ~gate_start:7 ~gate_end:8 "max_matrix_nodes 2";
+  match windows trace with
+  | [ a; b; c ] ->
+    check_bool "strategies decode" true
+      (a.strategy = Obs.Ledger.Mat_vec
+      && b.strategy = Obs.Ledger.Mat_mat 4
+      && c.strategy = Obs.Ledger.Fallback);
+    check_bool "ranges decode" true
+      (a.gate_start = 0 && a.gate_end = 3 && b.gate_start = 3
+     && b.gate_end = 7 && c.gates = 1);
+    check_bool "free-form detail survives a ';'" true (b.detail = "a; b");
+    check_bool "node counts and gauges decode" true
+      (c.state_nodes_before = 5 && c.state_nodes_after = 9
+     && c.heap_live_words = 100 && c.table_bytes = 200);
+    check_int "no kernel spans, no matrix peak" (-1) a.peak_matrix_nodes
+  | entries -> Alcotest.failf "expected 3 windows, got %d" (List.length entries)
+
+(* -- trace file, explain, fsck ------------------------------------------ *)
 
 let test_jsonl_roundtrip_and_fsck () =
   let circuit = Qft.circuit 8 in
-  let _, ledger =
-    ledgered_run ~strategy:(Dd_sim.Strategy.K_operations 4) circuit
+  let _, entries, trace =
+    traced_run ~strategy:(Dd_sim.Strategy.K_operations 4) circuit
   in
   let meta = [ ("algo", "qft"); ("wall_seconds", "0.5") ] in
-  let text = Obs.Ledger.jsonl ~meta ledger in
-  let run = Obs.Ledger.parse_jsonl text in
-  check_int "round-trip preserves the version" Obs.Ledger.version
-    run.Obs.Ledger.run_version;
+  let text = Obs.Trace_export.jsonl ~meta trace in
+  let run = Obs.Trace_report.parse_jsonl text in
   check_bool "round-trip preserves the meta" true
-    (List.assoc "algo" run.Obs.Ledger.run_meta = "qft");
-  check_int "round-trip preserves every entry"
-    (Obs.Ledger.length ledger)
-    (List.length run.Obs.Ledger.run_entries);
+    (List.assoc "algo" run.Obs.Trace_report.meta = "qft");
+  let reloaded = Obs.Ledger.entries run in
+  check_int "round-trip preserves every window" (List.length entries)
+    (List.length reloaded);
   List.iter2
     (fun (a : Obs.Ledger.entry) (b : Obs.Ledger.entry) ->
-      check_bool "entry round-trips" true
+      check_bool "window round-trips" true
         (a.strategy = b.strategy && a.gate_start = b.gate_start
         && a.gate_end = b.gate_end && a.gates = b.gates
         && a.peak_matrix_nodes = b.peak_matrix_nodes
-        && a.hits = b.hits && a.misses = b.misses))
-    (Obs.Ledger.entries ledger)
-    run.Obs.Ledger.run_entries;
+        && a.hits = b.hits && a.misses = b.misses
+        && a.heap_live_words = b.heap_live_words
+        && a.table_bytes = b.table_bytes))
+    entries reloaded;
   let path = temp_path ".jsonl" in
   Obs.Safe_io.write_file path text;
   let report = Dd_sim.Fsck.check_file ~path in
-  check_bool "fsck passes a clean ledger" true report.Dd_sim.Fsck.ok;
+  check_bool "fsck passes a clean trace" true report.Dd_sim.Fsck.ok;
   check_bool "fsck classifies the family" true
-    (report.Dd_sim.Fsck.family = "ledger");
+    (report.Dd_sim.Fsck.family = "trace");
   (* flip one byte inside the body: the checksum trailer must catch it *)
   let corrupted = Bytes.of_string text in
   let mid = Bytes.length corrupted / 2 in
@@ -295,18 +319,18 @@ let test_jsonl_roundtrip_and_fsck () =
     (if Bytes.get corrupted mid = '1' then '2' else '1');
   Obs.Safe_io.write_file path (Bytes.to_string corrupted);
   let report = Dd_sim.Fsck.check_file ~path in
-  check_bool "fsck flags a corrupted ledger" false report.Dd_sim.Fsck.ok;
+  check_bool "fsck flags a corrupted trace" false report.Dd_sim.Fsck.ok;
   Sys.remove path
 
 let test_explain_output () =
   let circuit = Qft.circuit 10 in
-  let _, ledger =
-    ledgered_run ~strategy:(Dd_sim.Strategy.K_operations 4) circuit
+  let _, _, trace =
+    traced_run ~strategy:(Dd_sim.Strategy.K_operations 4) circuit
   in
-  let text =
-    Obs.Ledger.jsonl ~meta:[ ("wall_seconds", "0.25") ] ledger
+  let rendered =
+    Obs.Ledger.explain
+      (Obs.Trace_report.of_trace ~meta:[ ("wall_seconds", "0.25") ] trace)
   in
-  let rendered = Obs.Ledger.explain (Obs.Ledger.parse_jsonl text) in
   List.iter
     (fun needle ->
       check_bool
@@ -384,7 +408,12 @@ let test_memory_telemetry_family () =
 let test_report_header_only_trace () =
   let rendered =
     Obs.Trace_report.render
-      { Obs.Trace_report.version = 2; meta = []; events = []; dropped = 0 }
+      {
+        Obs.Trace_report.version = Obs.Trace_export.version;
+        meta = [];
+        events = [];
+        dropped = 0;
+      }
   in
   check_bool "header-only trace reports cleanly" true
     (contains_sub rendered "no events recorded")
@@ -394,8 +423,8 @@ let suite =
     Alcotest.test_case "null_sink" `Quick test_null_sink;
     Alcotest.test_case "disabled_probe_allocates_nothing" `Quick
       test_disabled_probe_allocates_nothing;
-    Alcotest.test_case "unledgered_run_is_identical" `Quick
-      test_unledgered_run_is_identical;
+    Alcotest.test_case "untraced_run_is_identical" `Quick
+      test_untraced_run_is_identical;
     Alcotest.test_case "sequential_run_entries" `Quick
       test_sequential_run_entries;
     Alcotest.test_case "k4_attribution_covers_wall_clock" `Quick
@@ -407,6 +436,8 @@ let suite =
       test_resume_does_not_duplicate_entries;
     Alcotest.test_case "retention_and_rotation" `Quick
       test_retention_and_rotation;
+    Alcotest.test_case "window_detail_roundtrip" `Quick
+      test_window_detail_roundtrip;
     Alcotest.test_case "jsonl_roundtrip_and_fsck" `Quick
       test_jsonl_roundtrip_and_fsck;
     Alcotest.test_case "explain_output" `Quick test_explain_output;

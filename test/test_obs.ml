@@ -134,6 +134,9 @@ let test_kind_string_roundtrip () =
       Obs.Trace.Renormalize;
       Obs.Trace.Checkpoint;
       Obs.Trace.Measure;
+      Obs.Trace.Audit;
+      Obs.Trace.Reorder;
+      Obs.Trace.Window;
     ];
   check_bool "unknown kind rejected" true
     (Obs.Trace_export.kind_of_string "nonsense" = None)
@@ -233,14 +236,7 @@ let count_kind trace kind =
 
 let check_trajectory_peak ~strategy circuit =
   let engine, trace = traced_run ~strategy circuit in
-  let run =
-    {
-      Obs.Trace_report.version = Obs.Trace_export.version;
-      meta = [];
-      events = Array.to_list (Obs.Trace.events trace);
-      dropped = Obs.Trace.dropped trace;
-    }
-  in
+  let run = Obs.Trace_report.of_trace trace in
   let stats = Dd_sim.Engine.stats engine in
   (match Obs.Trace_report.peak_state_nodes run with
   | Some (_, peak) ->
@@ -476,47 +472,36 @@ let test_checkpoint_v4_roundtrip () =
     stats.Dd_sim.Sim_stats.mat_vec_mults
     restored.Dd_sim.Sim_stats.mat_vec_mults
 
-let test_checkpoint_reads_v3 () =
-  (* downgrade a freshly written v5 checkpoint to the v3 text format: v3
-     headers carried 14 stats fields, no trace/wall/audit data and no
-     checksum trailer *)
+let test_checkpoint_rejects_v6 () =
+  (* only the current format is readable: a v6 file (the v7 text with the
+     old header and 23 stats fields) is a structured error, not a
+     zero-filled restore *)
   let circuit = Standard.ghz 5 in
   let engine = Dd_sim.Engine.create 5 in
   Dd_sim.Engine.run engine circuit;
-  (Dd_sim.Engine.stats engine).Dd_sim.Sim_stats.trace_events_dropped <- 9;
   let checkpoint =
     Dd_sim.Checkpoint.snapshot engine ~strategy:Dd_sim.Strategy.Sequential
       ~gate_index:5
   in
-  let v4 = Dd_sim.Checkpoint.to_string checkpoint in
-  let v3 =
-    String.split_on_char '\n' v4
-    |> List.filter (fun line ->
-           not
-             ((String.length line > 9 && String.sub line 0 9 = "checksum ")
-             || (String.length line > 6 && String.sub line 0 6 = "order ")))
+  let v7 = Dd_sim.Checkpoint.to_string checkpoint in
+  let body, _ = Obs.Safe_io.split_text_trailer v7 in
+  let v6_body =
+    String.split_on_char '\n' body
     |> List.map (fun line ->
-           if line = "ddsim-checkpoint 7" then "ddsim-checkpoint 3"
+           if line = "ddsim-checkpoint 7" then "ddsim-checkpoint 6"
            else if String.length line > 6 && String.sub line 0 6 = "stats " then
              String.concat " "
                (String.split_on_char ' ' line
-               |> List.filteri (fun i _ -> i < 15))
+               |> List.filteri (fun i _ -> i < 24))
            else line)
     |> String.concat "\n"
   in
-  let reloaded =
-    Dd_sim.Checkpoint.of_string (fresh_ctx ()) ~source:"<v3>" v3
-  in
-  let restored = reloaded.Dd_sim.Checkpoint.stats in
-  check_int "v3 restores trace_events_dropped as zero" 0
-    restored.Dd_sim.Sim_stats.trace_events_dropped;
-  check_bool "v3 restores wall_time_seconds as zero" true
-    (restored.Dd_sim.Sim_stats.wall_time_seconds = 0.);
-  check_int "v3 counters restore"
-    (Dd_sim.Engine.stats engine).Dd_sim.Sim_stats.mat_vec_mults
-    restored.Dd_sim.Sim_stats.mat_vec_mults
+  let v6 = v6_body ^ "checksum " ^ Obs.Safe_io.checksum v6_body ^ "\n" in
+  match Dd_sim.Checkpoint.of_string (fresh_ctx ()) ~source:"<v6>" v6 with
+  | _ -> Alcotest.fail "a ddsim-checkpoint 6 file was accepted"
+  | exception Dd_sim.Error.Error (Dd_sim.Error.Invalid_checkpoint _) -> ()
 
-(* -- QCheck: the trace is a faithful ledger of the aggregates -------- *)
+(* -- QCheck: the trace faithfully reproduces the aggregates ---------- *)
 
 let circuit_arb ~qubits ~gates =
   QCheck.make
@@ -548,18 +533,20 @@ let prop_trace_counts_match_stats =
 
 (* -- schema versions ------------------------------------------------ *)
 
-let test_parses_v1_header () =
-  (* a hand-built v1 document (the committed fixture format) must keep
-     parsing *)
+let test_rejects_v1_header () =
+  (* only the current schema version parses; a v1 header is refused
+     with a located message *)
   let v1 =
     "{\"schema\":\"ddsim-trace\",\"version\":1,\"events\":1,\"dropped\":0,\"meta\":{}}\n\
      {\"kind\":\"mat_vec\",\"t\":0.5,\"dur\":0.25,\"gate\":3,\"state_nodes\":7,\"matrix_nodes\":-1,\"hits\":1,\"misses\":2,\"detail\":\"x\"}\n"
   in
-  let run = Obs.Trace_report.parse_jsonl v1 in
-  check_int "v1 version preserved" 1 run.Obs.Trace_report.version;
-  match run.Obs.Trace_report.events with
-  | [ e ] -> check_int "fields parse" 3 e.Obs.Trace.gate_index
-  | events -> Alcotest.failf "expected 1 event, got %d" (List.length events)
+  match Obs.Trace_report.parse_jsonl v1 with
+  | _ -> Alcotest.fail "a v1 trace was accepted"
+  | exception Failure message ->
+    check_bool
+      (Printf.sprintf "message %S names the version" message)
+      true
+      (contains "unsupported schema version 1" message)
 
 let suite =
   [
@@ -597,7 +584,8 @@ let suite =
       test_wall_time_accumulates;
     Alcotest.test_case "checkpoint_v4_roundtrip" `Quick
       test_checkpoint_v4_roundtrip;
-    Alcotest.test_case "checkpoint_reads_v3" `Quick test_checkpoint_reads_v3;
-    Alcotest.test_case "parses_v1_header" `Quick test_parses_v1_header;
+    Alcotest.test_case "checkpoint_rejects_v6" `Quick
+      test_checkpoint_rejects_v6;
+    Alcotest.test_case "rejects_v1_header" `Quick test_rejects_v1_header;
   ]
   @ List.map QCheck_alcotest.to_alcotest [ prop_trace_counts_match_stats ]

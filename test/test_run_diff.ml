@@ -106,6 +106,25 @@ let test_profile_diff_is_deterministic () =
   check_contains "report" report "per-level breakdown at gate 2";
   check_contains "report" report "<-- diverges"
 
+let test_trace_diff_compares_windows () =
+  let traced strategy =
+    let circuit = Qft.circuit 8 in
+    let engine = Dd_sim.Engine.create Circuit.(circuit.qubits) in
+    let trace = Obs.Trace.create () in
+    Dd_sim.Engine.set_trace engine trace;
+    Dd_sim.Engine.run ~strategy engine circuit;
+    Obs.Trace_report.of_trace trace
+  in
+  let report =
+    Obs.Run_diff.render_traces
+      (traced (Dd_sim.Strategy.K_operations 4))
+      (traced Dd_sim.Strategy.Sequential)
+  in
+  check_contains "report" report "gates(a)";
+  check_contains "report" report "mat-mat";
+  check_contains "report" report "break-even k (a): ";
+  check_contains "report" report "break-even k (b): "
+
 let test_profile_diff_without_divergence_compares_finals () =
   let run = Obs.Dd_profile.parse_jsonl (load "diff_profile_a.jsonl") in
   let report = Obs.Run_diff.render_profiles run run in
@@ -123,7 +142,9 @@ let expect_failure name fragment thunk =
       (Printf.sprintf "%s: %S mentions %S" name message fragment)
       true (contains_sub message fragment)
 
-let trace_header = "{\"schema\":\"ddsim-trace\",\"version\":1}"
+let trace_header =
+  Printf.sprintf "{\"schema\":\"ddsim-trace\",\"version\":%d}"
+    Obs.Trace_export.version
 
 let test_trace_report_locates_errors () =
   expect_failure "empty trace" "empty" (fun () ->
@@ -158,6 +179,8 @@ let suite =
     Alcotest.test_case "overlay plot empty" `Quick test_overlay_plot_empty;
     Alcotest.test_case "trace diff deterministic" `Quick
       test_trace_diff_is_deterministic;
+    Alcotest.test_case "trace diff compares windows" `Quick
+      test_trace_diff_compares_windows;
     Alcotest.test_case "profile diff deterministic" `Quick
       test_profile_diff_is_deterministic;
     Alcotest.test_case "profile diff without divergence" `Quick
