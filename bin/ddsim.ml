@@ -34,7 +34,11 @@ let repeating_arg =
 let seed_arg =
   Arg.(
     value & opt int 0xDD
-    & info [ "seed" ] ~docv:"SEED" ~doc:"Measurement RNG seed.")
+    & info [ "seed" ] ~docv:"SEED"
+        ~doc:
+          "Seed of the measurement RNG.  It also seeds the generated \
+           $(b,supremacy) and $(b,random) circuits, so a different seed \
+           simulates a different circuit.")
 
 let samples_arg =
   Arg.(
@@ -748,7 +752,7 @@ let bench_file_arg =
   Arg.(
     required
     & pos 0 (some file) None
-    & info [] ~docv:"BENCH_OUTPUT" ~doc:"Output of bench/main.exe.")
+    & info [] ~docv:"OUTPUT" ~doc:"Output of bench/main.exe.")
 
 let plot_cmd =
   let action file figure output =
@@ -929,66 +933,6 @@ let diff_cmd =
           breakdown at the divergence.")
     term
 
-(* --- bench-check ------------------------------------------------------ *)
-
-let baseline_arg =
-  Arg.(
-    required
-    & opt (some file) None
-    & info [ "baseline" ] ~docv:"FILE"
-        ~doc:"Committed baseline BENCH_*.json to gate against.")
-
-let bench_candidate_arg =
-  Arg.(
-    required
-    & pos 0 (some file) None
-    & info [] ~docv:"CANDIDATE.json"
-        ~doc:"Freshly produced benchmark output, same schema.")
-
-let time_ratio_arg =
-  Arg.(
-    value & opt float 10.
-    & info [ "time-ratio" ] ~docv:"R"
-        ~doc:"Allow candidate times up to R x baseline (faster always passes).")
-
-let count_ratio_arg =
-  Arg.(
-    value & opt float 0.1
-    & info [ "count-ratio" ] ~docv:"R"
-        ~doc:"Allowed fractional drift of counter metrics (node counts, \
-              multiplications, lookups).")
-
-let rate_tol_arg =
-  Arg.(
-    value & opt float 0.15
-    & info [ "rate-tol" ] ~docv:"T"
-        ~doc:"Absolute tolerance for *_rate metrics.")
-
-let bench_check_cmd =
-  let action baseline candidate time_ratio count_ratio rate_tol =
-    let tol = { Obs.Bench_check.time_ratio; count_ratio; rate_tol } in
-    let findings =
-      Obs.Bench_check.compare_strings ~tol
-        ~baseline:(read_source baseline)
-        (read_source candidate)
-    in
-    print_string (Obs.Bench_check.render findings);
-    if Obs.Bench_check.regressed findings then exit 1
-  in
-  let term =
-    Term.(
-      const action $ baseline_arg $ bench_candidate_arg $ time_ratio_arg
-      $ count_ratio_arg $ rate_tol_arg)
-  in
-  Cmd.v
-    (Cmd.info "bench-check"
-       ~doc:
-         "Gate a fresh BENCH_*.json against a committed baseline: runs \
-          are paired by identity, every numeric metric is classified \
-          (time / rate / count) and compared under its tolerance; exits \
-          non-zero on any regression.")
-    term
-
 (* --- fsck ------------------------------------------------------------- *)
 
 let fsck_files_arg =
@@ -1079,4 +1023,4 @@ let () =
        (Cmd.group info
           [ run_cmd; simulate_cmd; export_cmd; dot_cmd; inspect_cmd;
             optimize_cmd; equiv_cmd; plot_cmd; report_cmd; explain_cmd;
-            diff_cmd; bench_check_cmd; fsck_cmd ]))
+            diff_cmd; fsck_cmd ]))

@@ -3,8 +3,7 @@
     {!snapshot} freezes every counter family the engine carries —
     {!Sim_stats} aggregates, per-compute-table hit/miss/eviction counters
     ({!Dd.Context.table_stats}) and DD garbage-collection statistics
-    ({!Dd.Context.gc_stats}) — into one sorted {!Obs.Metrics.snapshot}.
-    Pair two snapshots with {!Obs.Metrics.diff} to cost a phase. *)
+    ({!Dd.Context.gc_stats}) — into one sorted {!Obs.Metrics.snapshot}. *)
 
 val populate : Obs.Metrics.t -> Engine.t -> unit
 (** Write the engine's current readings into a registry (instruments are

@@ -1,14 +1,7 @@
 type counter = { mutable count : int }
 type gauge = { mutable reading : float }
 
-(* 64 log2 buckets covering exponents [-32, 31]: index e + 32 *)
-type histogram = {
-  mutable observations : int;
-  mutable sum : float;
-  buckets : int array;
-}
-
-type instrument = C of counter | G of gauge | H of histogram
+type instrument = C of counter | G of gauge
 type t = (string, instrument) Hashtbl.t
 
 let create () : t = Hashtbl.create 64
@@ -45,15 +38,6 @@ let gauge t name =
   | G g -> g
   | _ -> assert false
 
-let histogram t name =
-  match
-    register t name
-      (fun () -> H { observations = 0; sum = 0.; buckets = Array.make 64 0 })
-      (function H _ as h -> Some h | _ -> None)
-  with
-  | H h -> h
-  | _ -> assert false
-
 let add (c : counter) n = c.count <- c.count + n
 let count (c : counter) = c.count
 let set (g : gauge) v = g.reading <- v
@@ -64,16 +48,7 @@ let bucket_exponent v =
     let _, e = Float.frexp v in
     if e < -32 then -32 else if e > 31 then 31 else e
 
-let observe (h : histogram) v =
-  h.observations <- h.observations + 1;
-  h.sum <- h.sum +. v;
-  let i = bucket_exponent v + 32 in
-  h.buckets.(i) <- h.buckets.(i) + 1
-
-type value =
-  | Count of int
-  | Value of float
-  | Histogram of { count : int; sum : float; buckets : (int * int) list }
+type value = Count of int | Value of float
 
 type snapshot = (string * value) list
 
@@ -84,50 +59,10 @@ let snapshot (t : t) : snapshot =
         match instrument with
         | C c -> Count c.count
         | G g -> Value g.reading
-        | H h ->
-          let buckets = ref [] in
-          for i = 63 downto 0 do
-            if h.buckets.(i) > 0 then
-              buckets := (i - 32, h.buckets.(i)) :: !buckets
-          done;
-          Histogram { count = h.observations; sum = h.sum; buckets = !buckets }
       in
       (name, value) :: acc)
     t []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
-
-let sub_buckets after before =
-  (* both sparse and ascending; subtract pointwise, drop zeros *)
-  let rec go a b =
-    match (a, b) with
-    | rest, [] -> rest
-    | [], (e, n) :: rest -> (e, -n) :: go [] rest
-    | (ea, na) :: ra, (eb, nb) :: rb ->
-      if ea < eb then (ea, na) :: go ra b
-      else if ea > eb then (eb, -nb) :: go a rb
-      else
-        let d = na - nb in
-        if d = 0 then go ra rb else (ea, d) :: go ra rb
-  in
-  go after before
-
-let diff ~before ~after =
-  List.map
-    (fun (name, v_after) ->
-      match (List.assoc_opt name before, v_after) with
-      | Some (Count b), Count a -> (name, Count (a - b))
-      | Some (Value _), Value a -> (name, Value a)
-      | ( Some (Histogram { count = bc; sum = bs; buckets = bb }),
-          Histogram { count = ac; sum = as_; buckets = ab } ) ->
-        ( name,
-          Histogram
-            {
-              count = ac - bc;
-              sum = as_ -. bs;
-              buckets = sub_buckets ab bb;
-            } )
-      | _, v -> (name, v))
-    after
 
 let find (s : snapshot) name = List.assoc_opt name s
 
@@ -140,15 +75,7 @@ let to_json (s : snapshot) =
       Buffer.add_string buffer (Printf.sprintf "\"%s\":" (Json.escape name));
       match value with
       | Count n -> Buffer.add_string buffer (string_of_int n)
-      | Value v -> Buffer.add_string buffer (Printf.sprintf "%.9g" v)
-      | Histogram { count; sum; buckets } ->
-        Buffer.add_string buffer
-          (Printf.sprintf "{\"count\":%d,\"sum\":%.9g,\"buckets\":[%s]}" count
-             sum
-             (String.concat ","
-                (List.map
-                   (fun (e, n) -> Printf.sprintf "[%d,%d]" e n)
-                   buckets))))
+      | Value v -> Buffer.add_string buffer (Printf.sprintf "%.9g" v))
     s;
   Buffer.add_char buffer '}';
   Buffer.contents buffer
@@ -158,11 +85,5 @@ let pp fmt (s : snapshot) =
     (fun (name, value) ->
       match value with
       | Count n -> Format.fprintf fmt "%-36s %d@\n" name n
-      | Value v -> Format.fprintf fmt "%-36s %g@\n" name v
-      | Histogram { count; sum; buckets } ->
-        Format.fprintf fmt "%-36s count=%d sum=%g%s@\n" name count sum
-          (String.concat ""
-             (List.map
-                (fun (e, n) -> Printf.sprintf " 2^%d:%d" e n)
-                buckets)))
+      | Value v -> Format.fprintf fmt "%-36s %g@\n" name v)
     s

@@ -1,25 +1,18 @@
-(** Unified registry of named counters, gauges and histograms.
+(** Unified registry of named counters and gauges.
 
     The repository grew three disjoint families of counters — {!Sim_stats}
     (engine-level), {!Dd.Compute_table.stats} (per-table hit/miss/eviction)
     and {!Dd.Context.gc_stats} (collections and pauses).  This module puts
-    them behind one vocabulary: instruments are registered by name, a
-    {!snapshot} freezes every instrument into a comparable value, and
-    {!diff} subtracts two snapshots so "what did this phase cost" is one
-    call instead of ad-hoc bookkeeping (see {!Dd_sim.Telemetry} for the
-    bridge that populates a registry from a live engine).
-
-    Histograms use log2 buckets: an observation [v] lands in the bucket
-    whose exponent [e] satisfies [2^(e-1) <= v < 2^e] — the natural
-    resolution for op latencies and node counts, both of which span many
-    orders of magnitude. *)
+    them behind one vocabulary: instruments are registered by name and a
+    {!snapshot} freezes every instrument into a comparable value (see
+    {!Dd_sim.Telemetry} for the bridge that populates a registry from a
+    live engine). *)
 
 type t
 (** A registry. *)
 
 type counter
 type gauge
-type histogram
 
 val create : unit -> t
 
@@ -28,46 +21,28 @@ val counter : t -> string -> counter
     if [name] is already registered as a different instrument kind. *)
 
 val gauge : t -> string -> gauge
-val histogram : t -> string -> histogram
 
 val add : counter -> int -> unit
 val count : counter -> int
 val set : gauge -> float -> unit
 
-val observe : histogram -> float -> unit
-(** Record one observation (latency in seconds, a node count, ...). *)
-
 val bucket_exponent : float -> int
-(** The log2 bucket an observation lands in: the [e] in [-32, 31] with
-    [2^(e-1) <= v < 2^e] (non-positive observations land in -32,
-    out-of-range exponents clamp). *)
+(** The log2 bucket a magnitude lands in: the [e] in [-32, 31] with
+    [2^(e-1) <= v < 2^e] (non-positive values land in -32, out-of-range
+    exponents clamp) — the resolution of the edge-weight histograms in
+    {!Dd_profile} and the DOT renderer. *)
 
 (** {1 Snapshots} *)
 
-type value =
-  | Count of int
-  | Value of float
-  | Histogram of {
-      count : int;
-      sum : float;
-      buckets : (int * int) list;
-          (** sparse [(exponent, observations)] pairs, ascending *)
-    }
+type value = Count of int | Value of float
 
 type snapshot = (string * value) list
 (** Sorted by name. *)
 
 val snapshot : t -> snapshot
-
-val diff : before:snapshot -> after:snapshot -> snapshot
-(** Counters and histogram buckets subtract; gauges keep the [after]
-    reading.  Instruments absent from [before] appear unchanged. *)
-
 val find : snapshot -> string -> value option
 val pp : Format.formatter -> snapshot -> unit
 
 val to_json : snapshot -> string
 (** One JSON object keyed by instrument name: counters as integers,
-    gauges as numbers, histograms as
-    [{"count":..,"sum":..,"buckets":[[exponent,observations],..]}] —
-    what [ddsim run --stats-json] writes. *)
+    gauges as numbers — what [ddsim run --stats-json] writes. *)

@@ -2,25 +2,8 @@
 
 open Util
 
-let load name =
-  (* tests run from _build/default/test; the repository root is two up *)
-  let candidates =
-    [
-      Filename.concat "../../../benchmarks" name;
-      Filename.concat "benchmarks" name;
-      Filename.concat "../benchmarks" name;
-    ]
-  in
-  match List.find_opt Sys.file_exists candidates with
-  | None -> Alcotest.fail (Printf.sprintf "cannot locate benchmarks/%s" name)
-  | Some path ->
-    let ic = open_in path in
-    let text = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    Qasm.of_string ~name text
-
 let test_ghz_12 () =
-  let circuit = load "ghz_12.qasm" in
+  let circuit = load_benchmark "ghz_12.qasm" in
   check_int "width" 12 Circuit.(circuit.qubits);
   let engine = Dd_sim.Engine.create 12 in
   Dd_sim.Engine.run engine circuit;
@@ -32,7 +15,7 @@ let test_ghz_12 () =
   check_float "half mass on |1...1>" 0.5 p1
 
 let test_qft_8 () =
-  let circuit = load "qft_8.qasm" in
+  let circuit = load_benchmark "qft_8.qasm" in
   let engine = Dd_sim.Engine.create 8 in
   Dd_sim.Engine.run engine circuit;
   let expected = 1. /. 256. in
@@ -40,14 +23,14 @@ let test_qft_8 () =
     (Dd_complex.Cnum.mag2 (Dd_sim.Engine.amplitude engine 137))
 
 let test_bv_16 () =
-  let circuit = load "bv_16_42.qasm" in
+  let circuit = load_benchmark "bv_16_42.qasm" in
   let engine = Dd_sim.Engine.create 16 in
   Dd_sim.Engine.run engine circuit;
   check_float "measures the secret deterministically" 1.
     (Dd_complex.Cnum.mag2 (Dd_sim.Engine.amplitude engine 42))
 
 let test_random_6_80 () =
-  let circuit = load "random_6_80.qasm" in
+  let circuit = load_benchmark "random_6_80.qasm" in
   check_cnum_array "file matches the dense simulator"
     (dense_state_of_circuit circuit)
     (dd_state_of_circuit circuit)

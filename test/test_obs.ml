@@ -309,20 +309,11 @@ let test_metrics_registry () =
   check_int "counter accumulates" 7 (Obs.Metrics.count c);
   let g = Obs.Metrics.gauge r "load" in
   Obs.Metrics.set g 1.5;
-  let h = Obs.Metrics.histogram r "latency" in
-  Obs.Metrics.observe h 0.75;
-  Obs.Metrics.observe h 3.0;
   let snap = Obs.Metrics.snapshot r in
   check_bool "counter in snapshot" true
     (Obs.Metrics.find snap "ops" = Some (Obs.Metrics.Count 7));
   check_bool "gauge in snapshot" true
     (Obs.Metrics.find snap "load" = Some (Obs.Metrics.Value 1.5));
-  (match Obs.Metrics.find snap "latency" with
-  | Some (Obs.Metrics.Histogram { count; sum; buckets }) ->
-    check_int "histogram count" 2 count;
-    check_bool "histogram sum" true (Float.abs (sum -. 3.75) < 1e-12);
-    check_bool "histogram buckets" true (buckets = [ (0, 1); (2, 1) ])
-  | _ -> Alcotest.fail "histogram missing");
   (* same name, same kind: the same instrument comes back *)
   Obs.Metrics.add (Obs.Metrics.counter r "ops") 1;
   check_int "re-registration returns the same counter" 8
@@ -343,31 +334,6 @@ let test_bucket_exponent () =
   check_int "non-positive -> floor" (-32) (Obs.Metrics.bucket_exponent 0.);
   check_int "tiny -> floor" (-32) (Obs.Metrics.bucket_exponent 1e-300);
   check_int "huge -> ceiling" 31 (Obs.Metrics.bucket_exponent 1e300)
-
-let test_metrics_diff () =
-  let r = Obs.Metrics.create () in
-  let c = Obs.Metrics.counter r "ops" in
-  let g = Obs.Metrics.gauge r "load" in
-  let h = Obs.Metrics.histogram r "lat" in
-  Obs.Metrics.add c 5;
-  Obs.Metrics.set g 1.0;
-  Obs.Metrics.observe h 1.0;
-  let before = Obs.Metrics.snapshot r in
-  Obs.Metrics.add c 2;
-  Obs.Metrics.set g 9.0;
-  Obs.Metrics.observe h 1.0;
-  Obs.Metrics.observe h 4.0;
-  let after = Obs.Metrics.snapshot r in
-  let d = Obs.Metrics.diff ~before ~after in
-  check_bool "counter diff subtracts" true
-    (Obs.Metrics.find d "ops" = Some (Obs.Metrics.Count 2));
-  check_bool "gauge diff keeps the after reading" true
-    (Obs.Metrics.find d "load" = Some (Obs.Metrics.Value 9.0));
-  match Obs.Metrics.find d "lat" with
-  | Some (Obs.Metrics.Histogram { count; buckets; _ }) ->
-    check_int "histogram diff count" 2 count;
-    check_bool "histogram diff buckets" true (buckets = [ (1, 1); (3, 1) ])
-  | _ -> Alcotest.fail "histogram diff missing"
 
 let test_telemetry_snapshot () =
   let circuit = Qft.circuit 5 in
@@ -573,7 +539,6 @@ let suite =
     Alcotest.test_case "gc_span_recorded" `Quick test_gc_span_recorded;
     Alcotest.test_case "metrics_registry" `Quick test_metrics_registry;
     Alcotest.test_case "bucket_exponent" `Quick test_bucket_exponent;
-    Alcotest.test_case "metrics_diff" `Quick test_metrics_diff;
     Alcotest.test_case "telemetry_snapshot" `Quick test_telemetry_snapshot;
     Alcotest.test_case "stats_pp_fast_path_percentage" `Quick
       test_stats_pp_fast_path_percentage;

@@ -90,3 +90,21 @@ let dense_state_of_circuit circuit =
   Dense_state.to_array state
 
 let fresh_ctx () = Dd.Context.create ()
+
+(* A shipped benchmarks/*.qasm circuit.  [dune runtest] runs from
+   _build/default/test, where the test's dep copies them to
+   ../benchmarks; the second candidate covers running test_main.exe from
+   the repository root. *)
+let load_benchmark name =
+  let candidates =
+    [
+      Filename.concat "../benchmarks" name; Filename.concat "benchmarks" name;
+    ]
+  in
+  match List.find_opt Sys.file_exists candidates with
+  | None -> Alcotest.fail (Printf.sprintf "cannot locate benchmarks/%s" name)
+  | Some path ->
+    let ic = open_in path in
+    let text = really_input_string ic (in_channel_length ic) in
+    close_in ic;
+    Qasm.of_string ~name text
