@@ -96,20 +96,6 @@ let gate ctx ~n ~target ?(controls = []) entries =
   done;
   !top
 
-(* |row><col| on [n] qubits: a single path of nodes. *)
-let outer_product ctx ~n ~row ~col =
-  let order = ctx.Context.order in
-  let rec build level edge =
-    if level >= n then edge
-    else
-      let q = Order.qubit_of_level order level in
-      let rbit = (row lsr q) land 1 and cbit = (col lsr q) land 1 in
-      let place i j = if i = rbit && j = cbit then edge else m_zero in
-      build (level + 1)
-        (make ctx level (place 0 0) (place 0 1) (place 1 0) (place 1 1))
-  in
-  build 0 (terminal_edge ctx Cnum.one)
-
 let rec add ctx a b =
   if m_is_zero a then b
   else if m_is_zero b then a
@@ -143,20 +129,57 @@ let rec add ctx a b =
     scale ctx a.mw unit_result
   end
 
+(* Top-down build of [sum_x |f x><x|]: the (row, col) pairs, packed as
+   [row lsl 30 lor col], are partitioned in place by the row and column
+   bit of each level's qubit into the four quadrants, and every non-empty
+   block becomes one [make].  All weights are exactly 0 or 1, so
+   normalisation and interning pick the same representatives as any other
+   build of the same matrix: the result is the canonical edge. *)
 let of_permutation ctx ~n f =
   if n > 30 then invalid_arg "Mdd.of_permutation: too many qubits";
   let size = 1 lsl n in
-  let seen = Array.make size false in
-  let acc = ref m_zero in
-  for col = 0 to size - 1 do
-    let row = f col in
-    if row < 0 || row >= size then
-      invalid_arg "Mdd.of_permutation: image out of range";
-    if seen.(row) then invalid_arg "Mdd.of_permutation: not a bijection";
-    seen.(row) <- true;
-    acc := add ctx !acc (outer_product ctx ~n ~row ~col)
-  done;
-  !acc
+  let seen = Bytes.make ((size + 7) / 8) '\000' in
+  let pairs =
+    Array.init size (fun col ->
+        let row = f col in
+        if row < 0 || row >= size then
+          invalid_arg "Mdd.of_permutation: image out of range";
+        let byte = Bytes.get_uint8 seen (row lsr 3)
+        and bit = 1 lsl (row land 7) in
+        if byte land bit <> 0 then
+          invalid_arg "Mdd.of_permutation: not a bijection";
+        Bytes.set_uint8 seen (row lsr 3) (byte lor bit);
+        (row lsl 30) lor col)
+  in
+  (* move the pairs of [lo, hi) whose bit [shift] is 0 to the front and
+     return where the 1s start *)
+  let partition lo hi shift =
+    let i = ref lo and j = ref (hi - 1) in
+    while !i <= !j do
+      if (pairs.(!i) lsr shift) land 1 = 0 then incr i
+      else begin
+        let p = pairs.(!i) in
+        pairs.(!i) <- pairs.(!j);
+        pairs.(!j) <- p;
+        decr j
+      end
+    done;
+    !i
+  in
+  let one = terminal_edge ctx Cnum.one in
+  let rec build level lo hi =
+    if lo = hi then m_zero
+    else if level < 0 then one
+    else
+      let q = Order.qubit_of_level ctx.Context.order level in
+      let r1 = partition lo hi (30 + q) in
+      let r0c1 = partition lo r1 q and r1c1 = partition r1 hi q in
+      let e00 = build (level - 1) lo r0c1 in
+      let e01 = build (level - 1) r0c1 r1 in
+      let e10 = build (level - 1) r1 r1c1 in
+      make ctx level e00 e01 e10 (build (level - 1) r1c1 hi)
+  in
+  build (n - 1) 0 size
 
 let of_dense ctx matrix =
   let dim = Array.length matrix in

@@ -38,7 +38,9 @@ val gate :
 
 val of_permutation : Context.t -> n:int -> (int -> int) -> edge
 (** [of_permutation ctx ~n f] is the unitary [sum_x |f x><x|]; [f] must be a
-    bijection on [0, 2^n).  Used by the DD-construct strategy to build
+    bijection on [0, 2^n) and [n <= 30], else [Invalid_argument].  Built
+    top-down in O(n 2^n) time with 2^n words of scratch; it creates no
+    node outside its result.  Used by the DD-construct strategy to build
     modular-exponentiation oracles without gate decomposition. *)
 
 val of_dense : Context.t -> Cnum.t array array -> edge

@@ -171,12 +171,6 @@ let parse text =
 let member json key =
   match json with Obj fields -> List.assoc_opt key fields | _ -> None
 
-let to_num = function
-  | Num v -> v
-  | _ -> failwith "JSON: expected a number"
-
-let to_int json = int_of_float (to_num json)
-
 let to_str = function
   | Str s -> s
   | _ -> failwith "JSON: expected a string"

@@ -21,12 +21,11 @@ val parse : string -> t
 val member : t -> string -> t option
 (** Field lookup on an [Obj]; [None] on missing field or non-object. *)
 
-val to_num : t -> float
-(** Raises [Failure] when the value is not a [Num]. *)
-
-val to_int : t -> int
 val to_str : t -> string
+(** Raises [Failure] when the value is not a [Str]. *)
+
 val to_list : t -> t list
+(** Raises [Failure] when the value is not an [Arr]. *)
 
 val escape : string -> string
 (** JSON string-literal escaping (without the surrounding quotes). *)

@@ -1,8 +1,9 @@
-(* Exact deterministic counts of the DD kernel, the structured-apply fast
-   path and dynamic reordering on small fixed instances.  Every figure is
-   a literal: a change to hash-consing, the compute tables, the GC, the
-   apply kernel or the reorder layer that moves any count fails here, and
-   the literal has to be updated on purpose.  Each case first checks the
+(* Exact deterministic counts of the DD kernel, the permutation
+   constructor, the structured-apply fast path and dynamic reordering on
+   small fixed instances.  Every figure is a literal: a change to
+   hash-consing, the compute tables, the GC, the constructor, the apply
+   kernel or the reorder layer that moves any count fails here, and the
+   literal has to be updated on purpose.  Each case first checks the
    invariants that hold whatever the counts are.
 
    The same figures print from the CLI:
@@ -45,14 +46,15 @@ let kernel_fields =
 (* [tables] lists [lookups; hits; stores; evictions; invalidated;
    entries] for every table with a nonzero count; the rest must be all
    zero, so the list pins every table exactly. *)
-let kernel_case ?(strategy = Dd_sim.Strategy.Sequential) name expected
-    ~tables () =
+let kernel_case ?(strategy = Dd_sim.Strategy.Sequential) ?(fused = true)
+    ?(high_water = 512) name expected ~tables () =
   let circuit = load_benchmark (name ^ ".qasm") in
   let ctx = Dd.Context.create () in
   let engine = Dd_sim.Engine.create ~context:ctx Circuit.(circuit.qubits) in
+  Dd_sim.Engine.set_fused_apply engine fused;
   Dd_sim.Engine.set_track_peaks engine true;
   Dd_sim.Engine.run ~strategy
-    ~guard:(Dd_sim.Guard.make ~gc_high_water:512 ())
+    ~guard:(Dd_sim.Guard.make ~gc_high_water:high_water ())
     engine circuit;
   let stats = Dd_sim.Engine.stats engine in
   let all = table_stats ctx in
@@ -85,6 +87,26 @@ let kernel_case ?(strategy = Dd_sim.Strategy.Sequential) name expected
          in
          if List.for_all (( = ) 0) row then None else Some (s.table, row))
        all)
+
+(* -- DD-construct: a permutation oracle creates only its own nodes ---- *)
+
+(* The modular-multiplication oracles of Shor's DD-construct backend on
+   12 qubits (N = 2561): the top-down build makes each node of the result
+   once and leaves no intermediate node in the unique table. *)
+let test_permutation_no_garbage () =
+  List.iter
+    (fun (a, nodes) ->
+      let ctx = Dd.Context.create () in
+      let before = Dd.Context.m_unique_size ctx in
+      let u =
+        Dd.Mdd.of_permutation ctx ~n:12 (fun x ->
+            if x < 2561 then x * a mod 2561 else x)
+      in
+      let label = Printf.sprintf "x -> %d x mod 2561" a in
+      check_int (label ^ ": nodes created") nodes
+        (Dd.Context.m_unique_size ctx - before);
+      check_int (label ^ ": nodes in the result") nodes (Dd.Mdd.node_count u))
+    [ (2409, 2814); (2, 82) ]
 
 (* -- structured apply: fused vs generic sequential vs k-operations --- *)
 
@@ -246,6 +268,26 @@ let suite =
              ("mul_mv", [ 724; 311; 413; 0; 168; 245 ]);
              ("mul_mm", [ 848; 509; 339; 0; 227; 112 ]);
            ]);
+    (* in qft_8 the products of the last gates are live at a collection:
+       a sweep must keep the apply (fused) and mul_mv (generic) entries
+       whose keys and results are both still reachable *)
+    Alcotest.test_case "kernel qft_8 gc" `Quick
+      (kernel_case ~high_water:64 "qft_8" [ 8; 8; 0; 1; 1; 59 ]
+         ~tables:
+           [
+             ("add_v", [ 32; 16; 16; 0; 15; 1 ]);
+             ("apply", [ 548; 160; 388; 2; 346; 40 ]);
+           ]);
+    Alcotest.test_case "kernel qft_8 generic gc" `Quick
+      (kernel_case ~fused:false ~high_water:64 "qft_8"
+         [ 8; 8; 15; 6; 6; 343 ]
+         ~tables:
+           [
+             ("add_v", [ 48; 24; 24; 0; 20; 4 ]);
+             ("mul_mv", [ 555; 248; 307; 1; 279; 27 ]);
+           ]);
+    Alcotest.test_case "construct permutation no garbage" `Quick
+      test_permutation_no_garbage;
     Alcotest.test_case "apply ghz_12" `Quick
       (apply_case (Standard.ghz 12)
          ~seq_fast:[ 23; 12; 12; 0; 20; 0; 100; 0; 0; 0; 0 ]

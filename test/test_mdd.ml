@@ -171,6 +171,71 @@ let test_permutation_rejects_non_bijection () =
     (Invalid_argument "Mdd.of_permutation: not a bijection") (fun () ->
       ignore (Dd.Mdd.of_permutation ctx ~n:2 (fun _ -> 0)))
 
+let test_permutation_rejects_out_of_range () =
+  let ctx = fresh_ctx () in
+  Alcotest.check_raises "image past 2^n rejected"
+    (Invalid_argument "Mdd.of_permutation: image out of range") (fun () ->
+      ignore (Dd.Mdd.of_permutation ctx ~n:2 (fun x -> x + 1)));
+  Alcotest.check_raises "negative image rejected"
+    (Invalid_argument "Mdd.of_permutation: image out of range") (fun () ->
+      ignore (Dd.Mdd.of_permutation ctx ~n:2 (fun x -> x - 1)))
+
+(* -- of_permutation against a reference model ---------------------------
+
+   The model is the constructor's original implementation: one single-path
+   outer product |f x><x| per column, summed with [Mdd.add].  The top-down
+   build must return the very same canonical edge (node and weight
+   physically equal), and must create no node outside its result. *)
+
+let model_outer_product ctx ~n ~row ~col =
+  let order = Dd.Context.order ctx in
+  let rec build level edge =
+    if level >= n then edge
+    else
+      let q = Dd.Order.qubit_of_level order level in
+      let rbit = (row lsr q) land 1 and cbit = (col lsr q) land 1 in
+      let place i j = if i = rbit && j = cbit then edge else Dd.Mdd.zero in
+      build (level + 1)
+        (Dd.Mdd.make ctx level (place 0 0) (place 0 1) (place 1 0)
+           (place 1 1))
+  in
+  build 0 (Dd.Mdd.identity ctx 0)
+
+let model_of_permutation ctx ~n f =
+  let acc = ref Dd.Mdd.zero in
+  for col = 0 to (1 lsl n) - 1 do
+    acc := Dd.Mdd.add ctx !acc (model_outer_product ctx ~n ~row:(f col) ~col)
+  done;
+  !acc
+
+let shuffle rng a =
+  for i = Array.length a - 1 downto 1 do
+    let j = Random.State.int rng (i + 1) in
+    let tmp = a.(i) in
+    a.(i) <- a.(j);
+    a.(j) <- tmp
+  done;
+  a
+
+let prop_permutation_matches_model =
+  QCheck.Test.make ~name:"of_permutation returns the reference model's edge"
+    ~count:200
+    (QCheck.make QCheck.Gen.(0 -- 1_000_000) ~print:string_of_int)
+    (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let n = 1 + Random.State.int rng 8 in
+      let perm = shuffle rng (Array.init (1 lsl n) Fun.id) in
+      let ctx = Dd.Context.create ~cache_bits:10 () in
+      if Random.State.bool rng then
+        Dd.Context.set_order ctx
+          (Dd.Order.of_qubit_of_level (shuffle rng (Array.init n Fun.id)));
+      let e = Dd.Mdd.of_permutation ctx ~n (fun x -> perm.(x)) in
+      let created = Dd.Context.m_unique_size ctx in
+      let r = model_of_permutation ctx ~n (fun x -> perm.(x)) in
+      e.Dd.Types.mt == r.Dd.Types.mt
+      && e.Dd.Types.mw == r.Dd.Types.mw
+      && created = Dd.Mdd.node_count e)
+
 let test_mul_matches_dense () =
   let ctx = fresh_ctx () in
   let a = gate_dd ctx ~n:2 (Gate.h 0) in
@@ -295,6 +360,9 @@ let suite =
     Alcotest.test_case "permutation" `Quick test_permutation;
     Alcotest.test_case "permutation_not_bijection" `Quick
       test_permutation_rejects_non_bijection;
+    Alcotest.test_case "permutation_out_of_range" `Quick
+      test_permutation_rejects_out_of_range;
+    QCheck_alcotest.to_alcotest prop_permutation_matches_model;
     Alcotest.test_case "mul_matches_dense" `Quick test_mul_matches_dense;
     Alcotest.test_case "mul_with_identity" `Quick test_mul_with_identity;
     Alcotest.test_case "unitarity_canonical" `Quick test_unitarity_canonical;
